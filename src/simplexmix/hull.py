@@ -1,18 +1,22 @@
 """Convex-hull extremal sets, tower counts, Hausdorff distance, PCA projection.
 
-The workhorse is Wolfe's min-norm-point algorithm for the distance from a
-point to the convex hull of a finite point set: an active-set method on the
+The workhorse is Wolfe's min-norm-point algorithm (MNP) for the distance from
+a point to the convex hull of a finite point set: an active-set method on the
 weight simplex that terminates finitely at machine precision.  Extremality of
 a point is "distance to the hull of the others exceeds a tolerance", which
-works in any moderate dimension without facet enumeration.  For extremal-set
-counting, a qhull pass on rank-reduced isometric coordinates shortlists
-candidates first, and each candidate is confirmed with the distance test; the
-pure per-point route remains available and is used as a fallback.
+works in any moderate dimension without facet enumeration.
+
+Extremal-set counting is certificate-first.  A qhull pass on rank-reduced
+isometric coordinates shortlists candidates; each candidate then gets a
+separating direction (the normalized sum of its incident facet normals) whose
+margin over the other candidates is a lower bound on its distance to their
+hull.  A margin above the tolerance proves the candidate extreme in one
+vectorized pass; only the candidates it cannot settle run MNP.  The pure
+per-point MNP route remains available and is used as a fallback.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -44,6 +48,10 @@ EXTREME_TOL = 1e-7
 
 # extremal_set falls back to per-point distance tests above this rank.
 _QHULL_MAX_DIM = 8
+
+# Candidate rows per block of the certificate's margin product, so memory
+# stays bounded with thousands of candidates.
+_MARGIN_BLOCK = 256
 
 _MNP_MAX_MAJOR = 1000    # major cycles; active sets stay near size d+1 in practice
 _MNP_ABS_GAP = 1e-24     # dual gap floor on ||w||^2
@@ -97,7 +105,13 @@ def _dedup(pts: np.ndarray, tol: float) -> np.ndarray:
     n = pts.shape[0]
     if n <= 1:
         return pts.copy()
-    pairs = cKDTree(pts).query_pairs(r=tol, output_type="ndarray")
+    tree = cKDTree(pts)
+    # Screen: with no neighbour inside 2*tol there is no pair within tol.  The
+    # doubled bound leaves room for the two queries' rounding.
+    dist, _ = tree.query(pts, k=2, distance_upper_bound=2.0 * tol)
+    if np.isinf(dist[:, 1]).all():
+        return pts.copy()
+    pairs = tree.query_pairs(r=tol, output_type="ndarray")
     if len(pairs) == 0:
         return pts.copy()
     drop = np.zeros(n, dtype=bool)
@@ -264,12 +278,58 @@ def _fix_signs(vt: np.ndarray) -> np.ndarray:
     return out
 
 
+def _perpoint_keep(z: np.ndarray, tol: float, rows=None) -> np.ndarray:
+    """Rows of ``z`` (all, or those listed in ``rows``) farther than ``tol``
+    from the hull of the other rows, by MNP."""
+    rows = range(z.shape[0]) if rows is None else rows
+    keep = [int(i) for i in rows if _mnp_distance(z[i], np.delete(z, i, axis=0)) > tol]
+    return np.asarray(keep, dtype=np.int64)
+
+
+def _certified(z: np.ndarray, hull: ConvexHull, cand: np.ndarray, tol: float) -> np.ndarray:
+    """Mask over ``cand``: True where a separating direction proves the
+    candidate farther than ``tol`` from the hull of the other candidates.
+
+    Candidate a gets u_a, the normalized sum of the unit normals of its
+    incident facets.  Every y in the hull of the others has u_a.y <= max_b
+    u_a.z_b, so |z_a - y| >= u_a.(z_a - y) >= margin_a = u_a.z_a - max_b
+    u_a.z_b: the margin is a lower bound on the distance, while MNP returns
+    the norm of a point of that hull, an upper bound.  A margin above ``tol``
+    therefore implies MNP's verdict "extreme".  A zero u_a gives NaN margins,
+    which are never certified.
+    """
+    zc = z[cand]
+    normal_sum = np.zeros_like(z)
+    np.add.at(normal_sum, hull.simplices, hull.equations[:, None, :-1])
+    u = normal_sum[cand]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+    margin = np.empty(len(cand))
+    for lo in range(0, len(cand), _MARGIN_BLOCK):
+        g = u[lo : lo + _MARGIN_BLOCK] @ zc.T
+        rows = np.arange(g.shape[0])
+        own = g[rows, lo + rows]
+        g[rows, lo + rows] = -np.inf
+        margin[lo : lo + _MARGIN_BLOCK] = own - g.max(axis=1)
+    # Rounding moves a margin by about 2*r*eps*max|z|, ~1e-15 on the
+    # unit-scale clouds of the simplex and eight orders below EXTREME_TOL =
+    # 1e-7, and MNP's returned norm by about as much.  The slack covers both,
+    # so a certified candidate is one MNP would also keep.
+    r = z.shape[1]
+    slack = 8 * (r + 1) * np.finfo(np.float64).eps * float(np.abs(zc).max())
+    return margin > tol + slack
+
+
 def extremal_set(ps, tol: float = EXTREME_TOL, method: str = "auto") -> ExtremalSet:
     """Indices of extreme points of ``ps`` at tolerance ``tol``.
 
     method="auto" shortlists hull vertices with qhull on rank-reduced
-    coordinates and confirms each with the distance test; "perpoint" runs the
-    distance test on every point (any dimension, slower).
+    coordinates, certifies each candidate whose separating-direction margin
+    over the other candidates exceeds ``tol`` (see ``_certified``), and
+    confirms only the rest with the MNP distance test; the result equals
+    MNP on every candidate.  "perpoint" runs the distance test on every point
+    (any dimension, slower); it is also the route above rank 8 and when qhull
+    fails.
     """
     if method not in ("auto", "qhull", "perpoint"):
         raise ValueError(f"unknown method {method!r}")
@@ -289,20 +349,15 @@ def extremal_set(ps, tol: float = EXTREME_TOL, method: str = "auto") -> Extremal
         # Affinely independent: every point is a vertex.
         return ExtremalSet(np.arange(n))
     if method == "perpoint" or (method == "auto" and r > _QHULL_MAX_DIM):
-        keep = [i for i in range(n) if _mnp_distance(z[i], np.delete(z, i, axis=0)) > tol]
-        return ExtremalSet(np.asarray(keep, dtype=np.int64))
+        return ExtremalSet(_perpoint_keep(z, tol))
     try:
-        cand = np.sort(ConvexHull(z).vertices.astype(np.int64))
+        hull = ConvexHull(z)
     except QhullError:
-        keep = [i for i in range(n) if _mnp_distance(z[i], np.delete(z, i, axis=0)) > tol]
-        return ExtremalSet(np.asarray(keep, dtype=np.int64))
-    zc = z[cand]
-    keep = [
-        int(cand[a])
-        for a in range(len(cand))
-        if _mnp_distance(zc[a], np.delete(zc, a, axis=0)) > tol
-    ]
-    return ExtremalSet(np.asarray(keep, dtype=np.int64))
+        return ExtremalSet(_perpoint_keep(z, tol))
+    cand = np.sort(hull.vertices.astype(np.int64))
+    ok = _certified(z, hull, cand, tol)
+    confirmed = _perpoint_keep(z[cand], tol, np.flatnonzero(~ok))
+    return ExtremalSet(cand[np.concatenate([np.flatnonzero(ok), confirmed])])
 
 
 def hausdorff(a, b) -> float:
@@ -321,20 +376,15 @@ def hausdorff(a, b) -> float:
 
 
 def count_towers(J: int) -> TowerCount:
-    """Count towers of the (J-1)-simplex by explicit face-lattice enumeration.
+    """Count towers of the (J-1)-simplex.
 
     A face is a nonempty vertex subset; a tower is a maximal chain of faces,
-    one per dimension 0..J-1.  Counted by dynamic programming over the subset
-    lattice (no closed formula).
+    one per dimension 0..J-1.  Each tower adds the vertices one at a time, so
+    towers are the J! vertex orderings.
     """
     if not 2 <= J <= 6:
-        raise ValueError(f"J={J} outside the supported brute-force range [2, 6]")
-    ways = {frozenset([v]): 1 for v in range(J)}
-    for size in range(2, J + 1):
-        for face in itertools.combinations(range(J), size):
-            fs = frozenset(face)
-            ways[fs] = sum(ways[fs - {v}] for v in face)
-    return TowerCount(J=J, towers=ways[frozenset(range(J))])
+        raise ValueError(f"J={J} outside the supported range [2, 6]")
+    return TowerCount(J=J, towers=math.factorial(J))
 
 
 def c_constant(J: int) -> float:

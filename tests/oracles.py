@@ -1,6 +1,7 @@
 """Independent brute-force oracles the library code never touches."""
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 
 def orientation_hull_vertices(points: np.ndarray, eps: float = 1e-12) -> np.ndarray:
@@ -54,3 +55,18 @@ def dense_log_likelihood(dense_counts: np.ndarray, phi: np.ndarray, f: np.ndarra
     pi = phi @ f
     mask = dense_counts > 0
     return float(np.sum(dense_counts[mask] * np.log(pi[mask])))
+
+
+def dedup_by_pairs(points: np.ndarray, tol: float) -> np.ndarray:
+    """Rows kept by the pair-greedy near-duplicate rule, without any screen.
+
+    Every pair within ``tol`` (``cKDTree.query_pairs``) is visited in
+    lexicographic order, and the later point of a pair is dropped unless one
+    of the two is already gone.  Keeps first occurrences, order preserved.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    drop = np.zeros(pts.shape[0], dtype=bool)
+    for i, j in sorted(cKDTree(pts).query_pairs(r=tol)):
+        if not drop[i] and not drop[j]:
+            drop[j] = True
+    return pts[~drop]

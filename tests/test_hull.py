@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
-
-from oracles import orientation_hull_vertices, towers_by_dfs
+from oracles import dedup_by_pairs, orientation_hull_vertices, towers_by_dfs
 from simplexmix.hull import (
+    DEDUP_TOL,
+    EXTREME_TOL,
     PointSet,
+    _affine_coordinates,
+    _certified,
     c_constant,
     count_towers,
     extremal_set,
@@ -44,6 +48,22 @@ class TestPointSet:
     def test_json_round_trip(self):
         ps = PointSet(np.random.default_rng(1).random((4, 2)))
         np.testing.assert_array_equal(PointSet.from_json(ps.to_json()).points, ps.points)
+
+    @pytest.mark.parametrize("gap", [0.0, 0.5, 1.0, 1.5, 3.0])
+    def test_dedup_matches_pair_rule(self, gap):
+        # twins at gap * DEDUP_TOL from their source, some sources twinned
+        # twice, shuffled so a twin can come before its source
+        rng = np.random.default_rng(int(gap * 10))
+        for d in (2, 3, 5):
+            base = rng.random((400, d))
+            src = rng.choice(400, size=30)
+            step = rng.standard_normal((30, d))
+            step *= gap * DEDUP_TOL / np.linalg.norm(step, axis=1, keepdims=True)
+            cloud = np.vstack([base, base[src] + step])[rng.permutation(430)]
+            kept = PointSet(cloud).points
+            np.testing.assert_array_equal(kept, dedup_by_pairs(cloud, DEDUP_TOL))
+            if gap < 1.0:
+                assert kept.shape[0] < 430
 
 
 class TestHullDistance:
@@ -197,6 +217,62 @@ class TestExtremalSet:
     def test_json(self):
         es = extremal_set(PointSet(np.eye(3)))
         assert es.to_json() == '{"indices": [0, 1, 2], "f0": 3}'
+
+
+class TestCertificate:
+    """Certificate-first extremal_set against MNP on every qhull candidate,
+    the confirmation it short-cuts, and against the pure MNP route."""
+
+    def check(self, ps, perpoint=True):
+        z, _ = _affine_coordinates(ps.points)
+        hull = ConvexHull(z)
+        cand = np.sort(hull.vertices)
+        zc = z[cand]
+        dist = np.array(
+            [point_to_hull_distance(zc[a], np.delete(zc, a, axis=0)) for a in range(cand.size)]
+        )
+        ok = _certified(z, hull, cand, EXTREME_TOL)
+        # the margin is a lower bound on the distance MNP bounds from above
+        assert (dist[ok] > EXTREME_TOL).all()
+        es = extremal_set(ps)
+        np.testing.assert_array_equal(es.indices, cand[dist > EXTREME_TOL])
+        if perpoint:
+            np.testing.assert_array_equal(es.indices, extremal_set(ps, method="perpoint").indices)
+        return ok
+
+    @pytest.mark.parametrize("J,n", [(3, 2000), (4, 2000), (5, 1000), (6, 600)])
+    def test_uniform_clouds(self, J, n):
+        for seed in range(2):
+            assert self.check(PointSet(sample(SamplerSpec("uniform", J, 500 + seed), n))).any()
+
+    @pytest.mark.parametrize("gap", [2e-9, 1e-8, 5e-8])
+    def test_near_duplicate_vertex(self, gap):
+        # DEDUP_TOL < gap < EXTREME_TOL: both copies survive dedup, and no
+        # direction separates them by more than the gap, so where both are
+        # candidates MNP decides.  Candidate-only confirmation can differ from
+        # "perpoint" here (a twin inside the hull is not a candidate).
+        rng = np.random.default_rng(int(gap * 1e10))
+        for J in (3, 4, 5):
+            cloud = sample(SamplerSpec("uniform", J, 600 + J), 500)
+            vertex = int(extremal_set(PointSet(cloud)).indices[0])
+            step = rng.standard_normal(J)
+            step -= step.mean()  # stay in the simplex plane
+            step *= gap / np.linalg.norm(step)
+            ps = PointSet(np.vstack([cloud, cloud[vertex] + step]))
+            assert ps.n == 501
+            self.check(ps, perpoint=False)
+
+    def test_near_flat_clouds(self):
+        # anisotropy 1e-6; "perpoint" is slow here and differs on some clouds
+        rng = np.random.default_rng(8)
+        for d in (3, 4):
+            for _ in range(3):
+                flat = rng.random((300, d)) * np.r_[np.ones(d - 1), 1e-6]
+                self.check(PointSet(flat), perpoint=False)
+
+    def test_lattice(self):
+        xs, ys = np.meshgrid(np.arange(5.0), np.arange(4.0))
+        assert self.check(PointSet(np.column_stack([xs.ravel(), ys.ravel()]))).all()
 
 
 class TestHausdorff:

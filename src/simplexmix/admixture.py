@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .choquet import ChoquetMeasure, choquet_measure, make_frame
-from .hull import PointSet, extremal_set, pca_project, point_to_hull_distance
-from .simplex import child_seed
+from .hull import EXTREME_TOL, PointSet, _centered_svd, extremal_set, pca_project, point_to_hull_distance
+from .simplex import _map_indexed, child_seed
 
 __all__ = [
     "DocTermMatrix",
@@ -40,6 +39,11 @@ __all__ = [
 ]
 
 _EM_SMOOTHING = 1e-10
+# EM stops once one iteration raises the log-likelihood by at most this
+# fraction of its magnitude.
+_EM_REL_TOL = 1e-8
+# choquet_from_fit's read-off and re-solved weights must agree to this.
+_READOFF_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -97,9 +101,11 @@ class DocTermMatrix:
 def load_docword(source) -> DocTermMatrix:
     """Parse the UCI bag-of-words layout into a DocTermMatrix.
 
-    Three header lines (D, W, NNZ) followed by NNZ lines "docID wordID count"
-    with 1-indexed ids.  Duplicate (doc, term) pairs are summed into the
-    first occurrence; ids come back 0-indexed.  Declared dimensions are kept
+    ``source`` is a path (``str`` or path-like), the file's ``bytes``, or a
+    file object whose ``read()`` returns ``bytes`` or ``str``.  The content
+    is three header lines (D, W, NNZ) followed by NNZ lines "docID wordID
+    count" with 1-indexed ids.  Duplicate (doc, term) pairs are summed into
+    the first occurrence; ids come back 0-indexed.  Declared dimensions are kept
     even if some terms never occur.
     """
     if hasattr(source, "read"):
@@ -109,13 +115,8 @@ def load_docword(source) -> DocTermMatrix:
     elif isinstance(source, bytes):
         raw = source
     elif isinstance(source, (str, os.PathLike)):
-        source = os.fspath(source)
-        # a string with newlines is inline content, otherwise a file path
-        if isinstance(source, str) and "\n" in source:
-            raw = source.encode()
-        else:
-            with open(source, "rb") as fh:
-                raw = fh.read()
+        with open(source, "rb") as fh:
+            raw = fh.read()
     else:
         raise TypeError(f"cannot read docword data from {type(source)!r}")
     lines = [ln for ln in raw.decode("utf-8").splitlines() if ln.strip()]
@@ -219,7 +220,7 @@ def log_likelihood(x: DocTermMatrix, phi: np.ndarray, f: np.ndarray) -> float:
     return float(x.counts @ np.log(pi))
 
 
-def _m_step(x: DocTermMatrix, resp: np.ndarray, l_comp: int, smoothing: float):
+def _m_step(x: DocTermMatrix, resp: np.ndarray, l_comp: int):
     """Normalized phi and F from weighted responsibilities (nnz, L)."""
     weighted = resp * x.counts[:, None]
     phi = np.zeros((x.n_docs, l_comp))
@@ -227,8 +228,8 @@ def _m_step(x: DocTermMatrix, resp: np.ndarray, l_comp: int, smoothing: float):
     for l in range(l_comp):
         phi[:, l] = np.bincount(x.doc_ids, weights=weighted[:, l], minlength=x.n_docs)
         f[l] = np.bincount(x.term_ids, weights=weighted[:, l], minlength=x.n_terms)
-    phi += smoothing
-    f += smoothing
+    phi += _EM_SMOOTHING
+    f += _EM_SMOOTHING
     phi /= phi.sum(axis=1, keepdims=True)
     f /= f.sum(axis=1, keepdims=True)
     return phi, f
@@ -238,17 +239,15 @@ def em_fit(
     x: DocTermMatrix,
     l_comp: int,
     max_iters: int = 500,
-    rel_tol: float = 1e-8,
     restarts: int = 5,
     seed: int = 0,
-    smoothing: float = _EM_SMOOTHING,
     threads: int = 1,
 ) -> AdmixtureModel:
     """EM for the multinomial admixture likelihood; best of ``restarts`` runs.
 
     E-step: responsibilities r_el proportional to phi[doc_e, l] * f[l, term_e].
     M-step: phi rows and f rows are the count-weighted responsibility sums,
-    renormalized (plus ``smoothing`` against exact zeros).  Each restart
+    renormalized (plus ``_EM_SMOOTHING`` against exact zeros).  Each restart
     initializes responsibilities iid Dirichlet(1) per stored entry from a
     child seed.  The recorded log-likelihood trace is exactly non-decreasing:
     a float decrease (possible only at the numerical plateau) reverts to the
@@ -268,18 +267,18 @@ def em_fit(
         rng = np.random.default_rng(child_seed(seed, restart))
         resp = rng.standard_exponential(size=(x.nnz, l_comp))
         resp /= resp.sum(axis=1, keepdims=True)
-        phi, f = _m_step(x, resp, l_comp, smoothing)
+        phi, f = _m_step(x, resp, l_comp)
         trace = [log_likelihood(x, phi, f)]
         for _ in range(max_iters):
             numer = phi[x.doc_ids] * f[:, x.term_ids].T
             resp = numer / numer.sum(axis=1, keepdims=True)
-            new_phi, new_f = _m_step(x, resp, l_comp, smoothing)
+            new_phi, new_f = _m_step(x, resp, l_comp)
             ll = log_likelihood(x, new_phi, new_f)
             if ll < trace[-1]:
                 break  # numerical plateau; keep the previous iterate
             phi, f = new_phi, new_f
             trace.append(ll)
-            if abs(trace[-1] - trace[-2]) <= rel_tol * abs(trace[-2]):
+            if abs(trace[-1] - trace[-2]) <= _EM_REL_TOL * abs(trace[-2]):
                 break
         return AdmixtureModel(
             phi=phi,
@@ -288,14 +287,10 @@ def em_fit(
             n_iters=len(trace) - 1,
             loglik_trace=np.asarray(trace),
             restart=restart,
-            smoothing=smoothing,
+            smoothing=_EM_SMOOTHING,
         )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            models = list(pool.map(run_restart, range(restarts)))
-    else:
-        models = [run_restart(r) for r in range(restarts)]
+    models = _map_indexed(run_restart, range(restarts), threads)
     best = models[0]
     for model in models[1:]:
         if model.loglik > best.loglik:  # strict: ties keep the lowest restart
@@ -303,13 +298,14 @@ def em_fit(
     return best
 
 
-def identifiability_check(f: np.ndarray, tol: float = 1e-7) -> np.ndarray:
-    """Per-component flag: True if the row is extreme among the rows (full space)."""
+def identifiability_check(f: np.ndarray) -> np.ndarray:
+    """Per-component flag: True if the row is farther than ``EXTREME_TOL``
+    from the hull of the other rows (full space)."""
     f = np.asarray(f, dtype=np.float64)
     if f.ndim != 2 or f.shape[0] < 2:
         raise ValueError("need a matrix of at least two component rows")
     return np.array(
-        [point_to_hull_distance(f[i], np.delete(f, i, axis=0)) > tol for i in range(f.shape[0])]
+        [point_to_hull_distance(f[i], np.delete(f, i, axis=0)) > EXTREME_TOL for i in range(f.shape[0])]
     )
 
 
@@ -343,13 +339,13 @@ class PipelineReport:
     seed: int
 
 
-def _count_extrema(f: np.ndarray, pca_dim: int, tol: float, warnings: list) -> tuple[int, int, np.ndarray]:
+def _count_extrema(f: np.ndarray, pca_dim: int, warnings: list) -> tuple[int, int, np.ndarray]:
     """Extrema count of component rows in PCA coordinates (with rank fallback)."""
     ps = PointSet(f)
     distinct = ps.points
     if distinct.shape[0] == 1:
         return 1, 0, np.asarray([])
-    _, rank = _pca_rank(distinct)
+    *_, rank = _centered_svd(distinct)
     attained = min(pca_dim, rank)
     if attained < pca_dim:
         warnings.append(
@@ -357,19 +353,11 @@ def _count_extrema(f: np.ndarray, pca_dim: int, tol: float, warnings: list) -> t
         )
     if attained >= 2 and distinct.shape[0] > attained:
         res = pca_project(distinct, attained)
-        count = extremal_set(res.pointset, tol=tol).f0
+        count = extremal_set(res.pointset).f0
         return count, attained, res.explained_variance_ratio
     # Rank or size too small to project; count in the original coordinates.
-    count = extremal_set(ps, tol=tol).f0
+    count = extremal_set(ps).f0
     return count, 0, np.asarray([])
-
-
-def _pca_rank(points: np.ndarray) -> tuple[np.ndarray, int]:
-    y = points - points.mean(axis=0)
-    s = np.linalg.svd(y, compute_uv=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return s, 0
-    return s, int(np.sum(s > max(points.shape) * np.finfo(np.float64).eps * s[0]))
 
 
 def two_stage(
@@ -377,20 +365,19 @@ def two_stage(
     l0: int,
     pca_dim: int = 5,
     max_rounds: int = 2,
-    max_iters: int = 500,
-    rel_tol: float = 1e-8,
     restarts: int = 5,
     seed: int = 0,
-    extremal_tol: float = 1e-7,
     threads: int = 1,
 ) -> PipelineReport:
     """Fit with ``l0`` components, count extrema in PCA space, refit at that count.
 
     Rounds continue while the extrema count M drops below the current
-    component count and the round budget lasts (default 2: one refit).  The
-    final model's rows are also flagged by the full-space identifiability
-    check, and when M = J and the rows form a valid frame, each document's
-    mixing row doubles as its barycentric weight vector over the components.
+    component count and the round budget lasts (default 2: one refit).  Each
+    round fits with ``em_fit``'s defaults and counts extrema at
+    ``EXTREME_TOL``.  The final model's rows are also flagged by the
+    full-space identifiability check, and when M = J and the rows form a
+    valid frame, each document's mixing row doubles as its barycentric
+    weight vector over the components.
     """
     if l0 < 2:
         raise ValueError(f"l0 must be >= 2, got {l0}")
@@ -408,13 +395,11 @@ def two_stage(
         model = em_fit(
             x,
             l_current,
-            max_iters=max_iters,
-            rel_tol=rel_tol,
             restarts=restarts,
             seed=child_seed(seed, round_index),
             threads=threads,
         )
-        m, attained_dim, evr = _count_extrema(model.f, pca_dim, extremal_tol, warnings)
+        m, attained_dim, evr = _count_extrema(model.f, pca_dim, warnings)
         rounds.append(
             RoundRecord(
                 round_index=round_index,
@@ -430,7 +415,7 @@ def two_stage(
             break
         l_current = m
     if model.n_components >= 2:
-        identifiable = identifiability_check(model.f, tol=extremal_tol)
+        identifiable = identifiability_check(model.f)
     else:
         identifiable = np.asarray([True])
     choquet_weights, note = _choquet_readoff(model)
@@ -461,13 +446,13 @@ def _choquet_readoff(model: AdmixtureModel):
     return model.phi.copy(), "weights read off the mixing matrix (pi_i = phi_i @ F)"
 
 
-def choquet_from_fit(model: AdmixtureModel, verify: bool = True, verify_tol: float = 1e-6) -> list[ChoquetMeasure]:
+def choquet_from_fit(model: AdmixtureModel) -> list[ChoquetMeasure]:
     """Barycentric weights of each document over the fitted components.
 
     Requires as many components as term dimensions and a valid frame.  The
-    weights are the mixing rows read off directly; with ``verify`` each
-    document's pi_i = phi_i @ F is independently re-solved over the frame and
-    compared at ``verify_tol``.
+    weights are the mixing rows read off directly; each document's
+    pi_i = phi_i @ F is also independently re-solved over the frame, and a
+    disagreement beyond ``_READOFF_TOL`` raises.
     """
     if model.f.shape[0] != model.f.shape[1]:
         raise ValueError(
@@ -475,14 +460,13 @@ def choquet_from_fit(model: AdmixtureModel, verify: bool = True, verify_tol: flo
         )
     frame = make_frame(model.f)
     measures = [ChoquetMeasure(weights=row) for row in model.phi]
-    if verify:
-        pi = model.phi @ model.f
-        for i, measure in enumerate(measures):
-            resolved = choquet_measure(pi[i], frame)
-            if np.max(np.abs(resolved.weights - measure.weights)) > verify_tol:
-                raise RuntimeError(
-                    f"read-off weights and re-solved weights disagree beyond {verify_tol:g} at document {i}"
-                )
+    pi = model.phi @ model.f
+    for i, measure in enumerate(measures):
+        resolved = choquet_measure(pi[i], frame)
+        if np.max(np.abs(resolved.weights - measure.weights)) > _READOFF_TOL:
+            raise RuntimeError(
+                f"read-off weights and re-solved weights disagree beyond {_READOFF_TOL:g} at document {i}"
+            )
     return measures
 
 

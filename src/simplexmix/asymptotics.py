@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf, gammaln
 
 from .hull import PointSet, extremal_set, point_to_hull_distance
-from .simplex import SamplerSpec, child_seed, sample
+from .simplex import SamplerSpec, _map_indexed, child_seed, sample
 
 __all__ = [
     "DEFAULT_N_GRID",
@@ -134,14 +133,6 @@ class ExchangeabilityBound:
 
 def _f0_of_cloud(spec: SamplerSpec, n: int) -> int:
     return extremal_set(PointSet(sample(spec, n))).f0
-
-
-def _map_indexed(fn, tasks, threads: int):
-    """Evaluate fn over tasks, deterministically ordered, optionally threaded."""
-    if threads <= 1:
-        return [fn(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, tasks))
 
 
 def growth_experiment(cfg: ExperimentConfig, threads: int = 1) -> GrowthCurve:

@@ -77,12 +77,13 @@ def _augmented(vertices: np.ndarray) -> np.ndarray:
     return np.vstack([vertices.T, np.ones(vertices.shape[0])])
 
 
-def make_frame(vertices, extreme_tol: float = 1e-7) -> SimplexFrame:
+def make_frame(vertices) -> SimplexFrame:
     """Validate vertices into a frame, or raise naming the violated invariant.
 
     Checks M = J, affine independence (smallest singular value of the
-    difference matrix above 1e-9), every vertex extreme among the set, and
-    the condition number of the augmented affine system.
+    difference matrix above 1e-9), every vertex extreme among the set at
+    the hull module's ``EXTREME_TOL``, and the condition number of the
+    augmented affine system.
     """
     rows = [validate(v) for v in np.atleast_2d(np.asarray(vertices, dtype=np.float64))]
     v = np.asarray(rows)
@@ -96,7 +97,7 @@ def make_frame(vertices, extreme_tol: float = 1e-7) -> SimplexFrame:
     if smin <= _AFFINE_RANK_TOL:
         raise ValueError(f"vertices are affinely dependent (smallest singular value {smin:.3g} <= {_AFFINE_RANK_TOL:g})")
     for i in range(m):
-        if not is_extreme(i, v, tol=extreme_tol):
+        if not is_extreme(i, v):
             raise ValueError(f"vertex {i} lies inside the hull of the others")
     cond = float(np.linalg.cond(_augmented(v)))
     if not np.isfinite(cond) or cond > COND_LIMIT:

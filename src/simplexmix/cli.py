@@ -437,11 +437,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pca-dim", type=int, default=5)
     p.add_argument("--max-rounds", type=int, default=2)
     p.add_argument("--restarts", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json-out", default=None, help="pipeline report path")
     p.add_argument("--csv-dir", default=None, help="directory for phi.csv and f.csv")
-    p.add_argument("--manifest", default=None)
+    common(p, threads=True, out=False)
     p.set_defaults(func=_cmd_fit_admixture)
 
     return parser

@@ -247,25 +247,31 @@ def is_extreme(i: int, ps, tol: float = EXTREME_TOL) -> bool:
     return _mnp_distance(pts[i], others) > tol
 
 
+def _centered_svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Centered rows ``y``, their singular values and right vectors, and the
+    affine rank at tolerance max(n, m) * eps * max(s_0, max|x|).
+
+    Points on a flat (the simplex hyperplane) carry rounding noise relative
+    to their coordinates, not to their possibly tiny spread, so s_0 alone
+    would count that noise as a direction.
+    """
+    y = x - x.mean(axis=0)
+    _, s, vt = np.linalg.svd(y, full_matrices=False)
+    scale = max(float(s[0]), float(np.abs(x).max()))
+    rank = int(np.sum(s > max(x.shape) * np.finfo(np.float64).eps * scale))
+    return y, s, vt, rank
+
+
 def _affine_coordinates(pts: np.ndarray) -> tuple[np.ndarray, int]:
     """Isometric coordinates of ``pts`` inside their affine hull.
 
-    Returns (Z, r) where r is the affine rank and Z is (n, r) with all
-    pairwise distances preserved (points in a flat, e.g. the simplex
-    hyperplane, become full-dimensional).  Deterministic sign convention.
-    The rank tolerance includes the absolute coordinate scale: points on a
-    hyperplane carry rounding noise relative to their coordinates, not to
-    their (possibly tiny) spread.
+    Returns (Z, r) where r is the affine rank (``_centered_svd``) and Z is
+    (n, r) with all pairwise distances preserved (points in a flat, e.g. the
+    simplex hyperplane, become full-dimensional).  Deterministic sign
+    convention.
     """
-    y = pts - pts.mean(axis=0)
-    _, s, vt = np.linalg.svd(y, full_matrices=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return np.zeros((pts.shape[0], 0)), 0
-    scale = max(float(s[0]), float(np.abs(pts).max()))
-    rank_tol = max(pts.shape) * np.finfo(np.float64).eps * scale
-    r = int(np.sum(s > rank_tol))
-    basis = _fix_signs(vt[:r])
-    return y @ basis.T, r
+    y, _, vt, r = _centered_svd(pts)
+    return y @ _fix_signs(vt[:r]).T, r
 
 
 def _fix_signs(vt: np.ndarray) -> np.ndarray:
@@ -328,10 +334,10 @@ def extremal_set(ps, tol: float = EXTREME_TOL, method: str = "auto") -> Extremal
     over the other candidates exceeds ``tol`` (see ``_certified``), and
     confirms only the rest with the MNP distance test; the result equals
     MNP on every candidate.  "perpoint" runs the distance test on every point
-    (any dimension, slower); it is also the route above rank 8 and when qhull
-    fails.
+    (any dimension, slower); "auto" also takes that route above rank 8 and
+    when qhull fails.
     """
-    if method not in ("auto", "qhull", "perpoint"):
+    if method not in ("auto", "perpoint"):
         raise ValueError(f"unknown method {method!r}")
     if not isinstance(ps, PointSet):
         ps = PointSet(ps)
@@ -348,7 +354,7 @@ def extremal_set(ps, tol: float = EXTREME_TOL, method: str = "auto") -> Extremal
     if n <= r + 1:
         # Affinely independent: every point is a vertex.
         return ExtremalSet(np.arange(n))
-    if method == "perpoint" or (method == "auto" and r > _QHULL_MAX_DIM):
+    if method == "perpoint" or r > _QHULL_MAX_DIM:
         return ExtremalSet(_perpoint_keep(z, tol))
     try:
         hull = ConvexHull(z)
@@ -415,7 +421,11 @@ def pca_project(data, d: int) -> PCAResult:
     Rows are centered by the column mean and projected onto the top-d right
     singular directions (deterministic sign: the largest-magnitude entry of
     each direction is positive).  Raises if the data rank is below ``d``,
-    naming the attainable dimension.
+    naming the attainable dimension.  The rank is the affine rank that
+    ``extremal_set`` uses, at tolerance max(n, m) * eps * max(s_0, max|x|):
+    the max|x| term keeps rounding noise normal to a flat, such as the
+    simplex hyperplane, from counting as a direction when the rows' spread
+    is small next to their coordinates.
     """
     x = np.asarray(data, dtype=np.float64)
     if x.ndim != 2:
@@ -425,11 +435,7 @@ def pca_project(data, d: int) -> PCAResult:
         raise ValueError(f"target dimension must be >= 2, got {d}")
     if d > min(n - 1, m):
         raise ValueError(f"target dimension {d} exceeds min(rows-1, columns) = {min(n - 1, m)}")
-    mean = x.mean(axis=0)
-    y = x - mean
-    _, s, vt = np.linalg.svd(y, full_matrices=False)
-    rank_tol = max(n, m) * np.finfo(np.float64).eps * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > rank_tol))
+    y, s, vt, rank = _centered_svd(x)
     if rank < d:
         raise ValueError(f"data rank {rank} is below target dimension {d}; attainable d = {rank}")
     basis = _fix_signs(vt[:d])
@@ -440,7 +446,7 @@ def pca_project(data, d: int) -> PCAResult:
         scores=scores,
         pointset=PointSet(scores),
         components=basis,
-        mean=mean,
+        mean=x.mean(axis=0),
         explained_variance_ratio=ratio,
         singular_values=s.copy(),
     )

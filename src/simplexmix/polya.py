@@ -146,15 +146,13 @@ def prior_posterior(alpha: float, n_atoms: int, depth: int | None = None) -> Pol
     return PolyaTreePosterior.prior(params, emb)
 
 
-def posterior_update(post: PolyaTreePosterior, atoms, emb: AtomEmbedding | None = None) -> PolyaTreePosterior:
+def posterior_update(post: PolyaTreePosterior, atoms) -> PolyaTreePosterior:
     """Conjugate update: route each observed atom down its cell path.
 
     Order-invariant (counts are sums) and batch-additive: updating with A
     then B equals one update with A+B.
     """
-    emb = post.emb if emb is None else emb
-    if emb != post.emb:
-        raise ValueError("embedding does not match the posterior's embedding")
+    emb = post.emb
     cells = emb.cells(atoms)
     depth = emb.depth
     new_counts = []
@@ -183,17 +181,14 @@ def cell_masses(post: PolyaTreePosterior) -> np.ndarray:
     return mass
 
 
-def weight_estimate(post: PolyaTreePosterior, emb: AtomEmbedding | None = None) -> ChoquetMeasure:
+def weight_estimate(post: PolyaTreePosterior) -> ChoquetMeasure:
     """Posterior-mean atom weights: atom cell masses renormalized.
 
     When M is a power of 2 the atoms cover every cell and the
     renormalization is a no-op.
     """
-    emb = post.emb if emb is None else emb
-    if emb != post.emb:
-        raise ValueError("embedding does not match the posterior's embedding")
     mass = cell_masses(post)
-    return ChoquetMeasure(weights=mass[: emb.n_atoms])
+    return ChoquetMeasure(weights=mass[: post.emb.n_atoms])
 
 
 def minimax_rate(k: int, alpha: float) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,6 +176,18 @@ def child_seed(base_seed: int, *key: int) -> int:
     """
     ss = np.random.SeedSequence(entropy=int(base_seed), spawn_key=tuple(int(k) for k in key))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
+def _map_indexed(fn, tasks, threads: int) -> list:
+    """``[fn(t) for t in tasks]``, on ``threads`` workers when above 1.
+
+    Results keep the order of ``tasks``; with each task's randomness drawn
+    from its own ``child_seed``, the output is the same for any thread count.
+    """
+    if threads <= 1:
+        return [fn(t) for t in tasks]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, tasks))
 
 
 def replicate(spec: SamplerSpec, *key: int) -> SamplerSpec:

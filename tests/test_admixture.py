@@ -21,7 +21,7 @@ from simplexmix.hull import PointSet, extremal_set
 
 
 def tiny_matrix():
-    return load_docword("2\n3\n2\n1 1 4\n2 3 1\n")
+    return load_docword(b"2\n3\n2\n1 1 4\n2 3 1\n")
 
 
 class TestLoadDocword:
@@ -33,25 +33,25 @@ class TestLoadDocword:
         np.testing.assert_array_equal(x.counts, [4, 1])
 
     def test_empty_body(self):
-        x = load_docword("3\n5\n0\n")
+        x = load_docword(b"3\n5\n0\n")
         assert (x.n_docs, x.n_terms, x.nnz) == (3, 5, 0)
 
     def test_nnz_mismatch_named(self):
         with pytest.raises(ValueError, match="NNZ=5 but body has 4"):
-            load_docword("2\n3\n5\n1 1 1\n1 2 1\n2 1 1\n2 2 1\n")
+            load_docword(b"2\n3\n5\n1 1 1\n1 2 1\n2 1 1\n2 2 1\n")
 
     def test_malformed_header(self):
         with pytest.raises(ValueError, match="header"):
-            load_docword("two\n3\n0\n")
+            load_docword(b"two\n3\n0\n")
 
     def test_out_of_range_ids(self):
         with pytest.raises(ValueError, match="out of range"):
-            load_docword("2\n3\n1\n3 1 1\n")
+            load_docword(b"2\n3\n1\n3 1 1\n")
         with pytest.raises(ValueError, match="out of range"):
-            load_docword("2\n3\n1\n1 4 1\n")
+            load_docword(b"2\n3\n1\n1 4 1\n")
 
     def test_duplicates_summed_in_place(self):
-        x = load_docword("1\n2\n3\n1 1 2\n1 2 5\n1 1 3\n")
+        x = load_docword(b"1\n2\n3\n1 1 2\n1 2 5\n1 1 3\n")
         assert x.nnz == 2
         np.testing.assert_array_equal(x.counts, [5, 5])
         np.testing.assert_array_equal(x.term_ids, [0, 1])
@@ -60,7 +60,7 @@ class TestLoadDocword:
         text = "1\n2\n1\n1 2 7\n"
         path = tmp_path / "docword.txt"
         path.write_text(text)
-        for source in (text, text.encode(), str(path), io.BytesIO(text.encode())):
+        for source in (io.StringIO(text), text.encode(), str(path), io.BytesIO(text.encode())):
             x = load_docword(source)
             assert x.counts.tolist() == [7]
 
@@ -92,7 +92,7 @@ class TestDocTermMatrix:
 
 class TestEmFit:
     def test_single_component_closed_form(self):
-        x = load_docword("2\n3\n4\n1 1 4\n1 2 1\n2 2 3\n2 3 2\n")
+        x = load_docword(b"2\n3\n4\n1 1 4\n1 2 1\n2 2 3\n2 3 2\n")
         model = em_fit(x, 1, restarts=2, seed=0)
         totals = x.term_totals().astype(float)
         np.testing.assert_allclose(model.f[0], totals / totals.sum(), atol=1e-9)
@@ -136,7 +136,7 @@ class TestEmFit:
             em_fit(x, 1)
 
     def test_component_budget_capped_by_tokens(self):
-        x = load_docword("1\n2\n1\n1 1 2\n")
+        x = load_docword(b"1\n2\n1\n1 1 2\n")
         with pytest.raises(ValueError, match="tokens"):
             em_fit(x, 3)
 
@@ -230,7 +230,7 @@ class TestChoquetFromFit:
 
     def test_readoff_matches_resolve(self):
         model = self._square_model()
-        measures = choquet_from_fit(model, verify=True)
+        measures = choquet_from_fit(model)
         assert len(measures) == model.phi.shape[0]
         np.testing.assert_allclose(measures[5].weights, model.phi[5], atol=1e-12)
 

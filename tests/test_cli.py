@@ -1,5 +1,9 @@
+import importlib
+import importlib.util
+import inspect
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,3 +243,25 @@ class TestEnvDefaultDir:
         monkeypatch.setenv("SIMPLEXMIX_OUT_DIR", str(tmp_path))
         run(["definetti", "--m", "4", "--L", "2"])
         assert os.path.exists(tmp_path / "definetti.manifest.json")
+
+
+class TestBenchmarkTracerSites:
+    """The benchmark's tracer wraps package attributes by name, outside any
+    try; a renamed attribute or parameter would crash every benchmark run."""
+
+    def test_sites_resolve_and_bound_parameters_exist(self):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        bound = {"simplex.sample": {"spec", "n"}, "hull.PointSet": {"points"}, "admixture.em_fit": {"restarts"}}
+        for module_name, attr, name in tracing.SITES:
+            target = getattr(importlib.import_module(module_name), attr, None)
+            assert target is not None, f"{module_name}.{attr} is gone"
+            missing = bound.get(name, set()) - set(inspect.signature(target).parameters)
+            assert not missing, f"{module_name}.{attr} lacks parameters {missing}"
+        tracer = tracing.Tracer()
+        try:
+            tracer.install()
+        finally:
+            tracer.uninstall()

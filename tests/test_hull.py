@@ -362,6 +362,15 @@ class TestPCAProject:
         rank2[:, 0] += np.arange(6.0) ** 2
         with pytest.raises(ValueError, match="attainable d = 2"):
             pca_project(rank2, 3)
+        # Rows on the J=4 simplex hyperplane: rounding noise normal to it is
+        # not a fourth direction, whatever the spread within it.
+        rng = np.random.default_rng(5)
+        for spread in (1e-2, 1e-4, 1e-6):
+            plane = np.array([0.4, 0.3, 0.2, 0.1]) + spread * (rng.dirichlet(np.ones(4), size=12) - 0.25)
+            plane /= plane.sum(axis=1, keepdims=True)
+            assert _affine_coordinates(plane)[1] == 3
+            with pytest.raises(ValueError, match="attainable d = 3"):
+                pca_project(plane, 4)
 
     def test_dimension_bounds(self):
         data = np.random.default_rng(3).random((5, 4))

@@ -17,6 +17,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .choquet import ChoquetMeasure, choquet_measure, make_frame
 from .hull import EXTREME_TOL, PointSet, _centered_svd, extremal_set, pca_project, point_to_hull_distance
@@ -69,8 +70,8 @@ class DocTermMatrix:
                 raise ValueError("term id out of range")
             if cnt.min() < 1:
                 raise ValueError("counts must be positive integers")
-            key = doc * self.n_terms + term
-            if np.unique(key).size != key.size:
+            key = np.sort(doc * self.n_terms + term)
+            if np.any(key[1:] == key[:-1]):
                 raise ValueError("duplicate (doc, term) pairs; merge them before construction")
         for arr in (doc, term, cnt):
             arr.setflags(write=False)
@@ -104,9 +105,11 @@ def load_docword(source) -> DocTermMatrix:
     ``source`` is a path (``str`` or path-like), the file's ``bytes``, or a
     file object whose ``read()`` returns ``bytes`` or ``str``.  The content
     is three header lines (D, W, NNZ) followed by NNZ lines "docID wordID
-    count" with 1-indexed ids.  Duplicate (doc, term) pairs are summed into
-    the first occurrence; ids come back 0-indexed.  Declared dimensions are kept
-    even if some terms never occur.
+    count" with 1-indexed ids; blank lines are skipped.  Duplicate (doc, term)
+    pairs are summed into the first occurrence; ids come back 0-indexed.
+    Declared dimensions are kept even if some terms never occur.  The first
+    malformed line is named when the body does not parse; out-of-range ids
+    and non-positive counts are reported for the first line that has one.
     """
     if hasattr(source, "read"):
         raw = source.read()
@@ -119,7 +122,7 @@ def load_docword(source) -> DocTermMatrix:
             raw = fh.read()
     else:
         raise TypeError(f"cannot read docword data from {type(source)!r}")
-    lines = [ln for ln in raw.decode("utf-8").splitlines() if ln.strip()]
+    lines = list(filter(str.strip, raw.decode("utf-8").splitlines()))
     if len(lines) < 3:
         raise ValueError("malformed header: expected three lines D, W, NNZ")
     try:
@@ -131,34 +134,49 @@ def load_docword(source) -> DocTermMatrix:
     body = lines[3:]
     if len(body) != nnz:
         raise ValueError(f"header declares NNZ={nnz} but body has {len(body)} entries")
-    doc_ids, term_ids, counts = [], [], []
-    seen: dict[tuple[int, int], int] = {}
-    for ln in body:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise ValueError(f"malformed triplet line: {ln!r}")
-        d, w, c = (int(x) for x in parts)
+    table = np.zeros((0, 3), dtype=np.int64)
+    if body:
+        try:
+            table = np.loadtxt(body, dtype=np.int64, comments=None, ndmin=2)
+        except ValueError as exc:
+            raise _malformed_line(body, exc) from None
+        if table.shape[1] != 3:  # every line has the same wrong token count
+            raise ValueError(f"malformed triplet line: {body[0]!r}")
+    doc, term, cnt = np.ascontiguousarray(table.T)
+    bad = (doc < 1) | (doc > n_docs) | (term < 1) | (term > n_terms) | (cnt < 1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        d, w, c = (int(v) for v in table[i])
         if not 1 <= d <= n_docs:
             raise ValueError(f"document id {d} out of range 1..{n_docs}")
         if not 1 <= w <= n_terms:
             raise ValueError(f"term id {w} out of range 1..{n_terms}")
-        if c < 1:
-            raise ValueError(f"count must be positive, got {c} on line {ln!r}")
-        key = (d - 1, w - 1)
-        if key in seen:
-            counts[seen[key]] += c
-        else:
-            seen[key] = len(doc_ids)
-            doc_ids.append(d - 1)
-            term_ids.append(w - 1)
-            counts.append(c)
-    return DocTermMatrix(
-        n_docs=n_docs,
-        n_terms=n_terms,
-        doc_ids=np.asarray(doc_ids, dtype=np.int64),
-        term_ids=np.asarray(term_ids, dtype=np.int64),
-        counts=np.asarray(counts, dtype=np.int64),
-    )
+        raise ValueError(f"count must be positive, got {c} on line {body[i]!r}")
+    doc, term = doc - 1, term - 1
+    _, first, inverse = np.unique(doc * n_terms + term, return_index=True, return_inverse=True)
+    if first.size < doc.size:
+        # Sum each pair's counts into its first occurrence, keeping that order.
+        order = np.argsort(first)
+        merged = np.zeros(first.size, dtype=np.int64)
+        np.add.at(merged, inverse, cnt)
+        keep = first[order]
+        doc, term, cnt = doc[keep], term[keep], merged[order]
+    return DocTermMatrix(n_docs=n_docs, n_terms=n_terms, doc_ids=doc, term_ids=term, counts=cnt)
+
+
+def _malformed_line(body: list, exc: ValueError) -> ValueError:
+    """The error for a docword body that ``np.loadtxt`` rejected: the first
+    line without three tokens, else the first token ``int`` rejects."""
+    for ln in body:
+        parts = ln.split()
+        if len(parts) != 3:
+            return ValueError(f"malformed triplet line: {ln!r}")
+        for token in parts:
+            try:
+                int(token)
+            except ValueError as err:
+                return err
+    return ValueError(f"malformed triplet line: {exc}")
 
 
 def drop_zero_terms(x: DocTermMatrix) -> tuple[DocTermMatrix, np.ndarray]:
@@ -206,6 +224,7 @@ class AdmixtureModel:
     loglik_trace: np.ndarray
     restart: int
     smoothing: float
+    stop: str  # why EM stopped: "converged", "plateau" or "max_iters"
 
     @property
     def n_components(self) -> int:
@@ -220,19 +239,24 @@ def log_likelihood(x: DocTermMatrix, phi: np.ndarray, f: np.ndarray) -> float:
     return float(x.counts @ np.log(pi))
 
 
+def _smoothed(phi: np.ndarray, f: np.ndarray):
+    """Add ``_EM_SMOOTHING`` against exact zeros and renormalize the rows, in place."""
+    phi += _EM_SMOOTHING
+    f += _EM_SMOOTHING
+    phi /= phi.sum(axis=1, keepdims=True)
+    f /= f.sum(axis=1, keepdims=True)
+    return phi, f
+
+
 def _m_step(x: DocTermMatrix, resp: np.ndarray, l_comp: int):
-    """Normalized phi and F from weighted responsibilities (nnz, L)."""
+    """Normalized phi and F from responsibilities (nnz, L); starts each EM restart."""
     weighted = resp * x.counts[:, None]
     phi = np.zeros((x.n_docs, l_comp))
     f = np.zeros((l_comp, x.n_terms))
     for l in range(l_comp):
         phi[:, l] = np.bincount(x.doc_ids, weights=weighted[:, l], minlength=x.n_docs)
         f[l] = np.bincount(x.term_ids, weights=weighted[:, l], minlength=x.n_terms)
-    phi += _EM_SMOOTHING
-    f += _EM_SMOOTHING
-    phi /= phi.sum(axis=1, keepdims=True)
-    f /= f.sum(axis=1, keepdims=True)
-    return phi, f
+    return _smoothed(phi, f)
 
 
 def em_fit(
@@ -245,13 +269,19 @@ def em_fit(
 ) -> AdmixtureModel:
     """EM for the multinomial admixture likelihood; best of ``restarts`` runs.
 
-    E-step: responsibilities r_el proportional to phi[doc_e, l] * f[l, term_e].
-    M-step: phi rows and f rows are the count-weighted responsibility sums,
-    renormalized (plus ``_EM_SMOOTHING`` against exact zeros).  Each restart
-    initializes responsibilities iid Dirichlet(1) per stored entry from a
-    child seed.  The recorded log-likelihood trace is exactly non-decreasing:
-    a float decrease (possible only at the numerical plateau) reverts to the
-    previous iterate and stops.  Ties between restarts keep the lowest index.
+    Each restart starts from an M-step on responsibilities drawn iid
+    Dirichlet(1) per stored entry from a child seed.  An iteration is the
+    fused multiplicative update of PLSA / KL-NMF, evaluated only at the
+    non-zeros: with pi_e = (phi @ F)[doc_e, term_e] and the sparse ratio
+    R = counts / pi, it sets phi <- phi * (R @ F.T) and F <- F * (R.T @ phi).T,
+    then adds ``_EM_SMOOTHING`` against exact zeros and renormalizes the
+    rows.  This equals the E-step (responsibilities proportional to
+    phi[doc_e, l] * f[l, term_e]) followed by the count-weighted M-step, and
+    counts @ log(pi) is the log-likelihood of the iterate being updated.
+    The recorded trace is exactly non-decreasing: a float decrease (possible
+    only at the numerical plateau) reverts to the previous iterate and stops.
+    ``AdmixtureModel.stop`` says which rule ended the restart.  Ties between
+    restarts keep the lowest index.
     """
     if l_comp < 1:
         raise ValueError(f"need at least one component, got {l_comp}")
@@ -262,24 +292,37 @@ def em_fit(
         raise ValueError(f"empty document (id {int(np.flatnonzero(totals == 0)[0])}); every document needs >= 1 token")
     if l_comp > x.total_tokens:
         raise ValueError(f"more components ({l_comp}) than tokens ({x.total_tokens})")
+    # The counts as a CSR matrix, triplets in document order; the restarts
+    # share its structure and each fills a data array of its own with R.
+    order = np.argsort(x.doc_ids, kind="stable")
+    doc, term = x.doc_ids[order], x.term_ids[order]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(doc, minlength=x.n_docs))))
+    counts = csr_matrix((x.counts[order].astype(np.float64), term, indptr), shape=(x.n_docs, x.n_terms))
 
     def run_restart(restart: int) -> AdmixtureModel:
         rng = np.random.default_rng(child_seed(seed, restart))
         resp = rng.standard_exponential(size=(x.nnz, l_comp))
         resp /= resp.sum(axis=1, keepdims=True)
         phi, f = _m_step(x, resp, l_comp)
-        trace = [log_likelihood(x, phi, f)]
-        for _ in range(max_iters):
-            numer = phi[x.doc_ids] * f[:, x.term_ids].T
-            resp = numer / numer.sum(axis=1, keepdims=True)
-            new_phi, new_f = _m_step(x, resp, l_comp)
-            ll = log_likelihood(x, new_phi, new_f)
-            if ll < trace[-1]:
-                break  # numerical plateau; keep the previous iterate
-            phi, f = new_phi, new_f
-            trace.append(ll)
-            if abs(trace[-1] - trace[-2]) <= _EM_REL_TOL * abs(trace[-2]):
+        ratio = csr_matrix((np.empty(x.nnz), counts.indices, counts.indptr), shape=counts.shape)
+        trace, previous = [], None
+        while True:
+            pi = np.einsum("el,el->e", np.take(phi, doc, axis=0), np.take(f.T, term, axis=0))
+            ll = float(counts.data @ np.log(pi)) if pi.min() > 0.0 else -math.inf
+            if trace and ll < trace[-1]:
+                phi, f = previous  # numerical plateau; keep the previous iterate
+                stop = "plateau"
                 break
+            trace.append(ll)
+            if len(trace) > 1 and abs(trace[-1] - trace[-2]) <= _EM_REL_TOL * abs(trace[-2]):
+                stop = "converged"
+                break
+            if len(trace) > max_iters:
+                stop = "max_iters"
+                break
+            np.divide(counts.data, pi, out=ratio.data)
+            previous = phi, f
+            phi, f = _smoothed(phi * (ratio @ f.T), f * (ratio.T @ phi).T)
         return AdmixtureModel(
             phi=phi,
             f=f,
@@ -288,6 +331,7 @@ def em_fit(
             loglik_trace=np.asarray(trace),
             restart=restart,
             smoothing=_EM_SMOOTHING,
+            stop=stop,
         )
 
     models = _map_indexed(run_restart, range(restarts), threads)

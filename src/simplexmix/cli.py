@@ -59,6 +59,14 @@ def _write_csv(path: str, header: list[str], rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _write_matrix(path: str, a: np.ndarray) -> None:
+    """The bytes of ``np.savetxt(path, a, delimiter=",", fmt="%.17g")`` for a
+    2-D array, formatted in one pass."""
+    n, m = a.shape
+    with open(path, "w") as fh:
+        fh.write(((",".join(["%.17g"] * m) + "\n") * n) % tuple(a.ravel().tolist()))
+
+
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
@@ -347,8 +355,8 @@ def _cmd_fit_admixture(args) -> tuple[dict, list[str]]:
     phi_path = os.path.join(csv_dir, "phi.csv")
     f_path = os.path.join(csv_dir, "f.csv")
     os.makedirs(csv_dir, exist_ok=True)
-    np.savetxt(phi_path, report.model.phi, delimiter=",", fmt="%.17g")
-    np.savetxt(f_path, report.model.f, delimiter=",", fmt="%.17g")
+    _write_matrix(phi_path, report.model.phi)
+    _write_matrix(f_path, report.model.f)
     outputs.extend([phi_path, f_path])
     config = {
         "input": args.input,

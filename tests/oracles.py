@@ -70,3 +70,92 @@ def dedup_by_pairs(points: np.ndarray, tol: float) -> np.ndarray:
         if not drop[i] and not drop[j]:
             drop[j] = True
     return pts[~drop]
+
+
+def em_reference(x, l_comp: int, max_iters: int, seed: int, restart: int, rel_tol: float, smoothing: float):
+    """One restart of admixture EM by explicit responsibilities, iterate by iterate.
+
+    E-step: an (nnz, L) responsibility array proportional to
+    phi[doc_e, l] * f[l, term_e].  M-step: phi and F rows are per-document and
+    per-term ``np.bincount`` sums of the count-weighted responsibilities, plus
+    ``smoothing``, renormalized.  The log-likelihood of every iterate is a
+    separate gather.  Starts from the same Dirichlet(1) responsibilities as
+    ``em_fit`` (child seed ``(seed, restart)``), stops on a relative gain of at
+    most ``rel_tol`` or after ``max_iters`` steps, and on a float decrease
+    keeps the previous iterate.  Returns (phi, f, trace).
+    """
+    from simplexmix.simplex import child_seed
+
+    def m_step(resp):
+        weighted = resp * x.counts[:, None]
+        phi = np.zeros((x.n_docs, l_comp))
+        f = np.zeros((l_comp, x.n_terms))
+        for l in range(l_comp):
+            phi[:, l] = np.bincount(x.doc_ids, weights=weighted[:, l], minlength=x.n_docs)
+            f[l] = np.bincount(x.term_ids, weights=weighted[:, l], minlength=x.n_terms)
+        phi += smoothing
+        f += smoothing
+        return phi / phi.sum(axis=1, keepdims=True), f / f.sum(axis=1, keepdims=True)
+
+    def loglik(phi, f):
+        pi = np.einsum("el,el->e", phi[x.doc_ids], f[:, x.term_ids].T)
+        return float(x.counts @ np.log(pi))
+
+    rng = np.random.default_rng(child_seed(seed, restart))
+    resp = rng.standard_exponential(size=(x.nnz, l_comp))
+    phi, f = m_step(resp / resp.sum(axis=1, keepdims=True))
+    trace = [loglik(phi, f)]
+    for _ in range(max_iters):
+        numer = phi[x.doc_ids] * f[:, x.term_ids].T
+        new_phi, new_f = m_step(numer / numer.sum(axis=1, keepdims=True))
+        ll = loglik(new_phi, new_f)
+        if ll < trace[-1]:
+            break
+        phi, f = new_phi, new_f
+        trace.append(ll)
+        if abs(trace[-1] - trace[-2]) <= rel_tol * abs(trace[-2]):
+            break
+    return phi, f, np.asarray(trace)
+
+
+def docword_by_lines(raw: bytes):
+    """The UCI docword layout parsed one line at a time with ``int``.
+
+    Blank lines are skipped; three header lines D, W, NNZ precede NNZ
+    "doc term count" lines with 1-indexed ids.  Each line is checked in file
+    order (token count, integers, doc range, term range, positive count), and
+    a repeated (doc, term) pair adds its count to the first occurrence, whose
+    position is kept.  Returns (D, W, doc_ids, term_ids, counts), 0-indexed.
+    """
+    lines = [ln for ln in raw.decode("utf-8").splitlines() if ln.strip()]
+    if len(lines) < 3:
+        raise ValueError("malformed header: expected three lines D, W, NNZ")
+    try:
+        n_docs, n_terms, nnz = (int(lines[i].strip()) for i in range(3))
+    except ValueError as exc:
+        raise ValueError(f"malformed header: {exc}") from None
+    body = lines[3:]
+    if len(body) != nnz:
+        raise ValueError(f"header declares NNZ={nnz} but body has {len(body)} entries")
+    doc_ids, term_ids, counts = [], [], []
+    seen: dict[tuple[int, int], int] = {}
+    for ln in body:
+        parts = ln.split()
+        if len(parts) != 3:
+            raise ValueError(f"malformed triplet line: {ln!r}")
+        d, w, c = (int(x) for x in parts)
+        if not 1 <= d <= n_docs:
+            raise ValueError(f"document id {d} out of range 1..{n_docs}")
+        if not 1 <= w <= n_terms:
+            raise ValueError(f"term id {w} out of range 1..{n_terms}")
+        if c < 1:
+            raise ValueError(f"count must be positive, got {c} on line {ln!r}")
+        key = (d - 1, w - 1)
+        if key in seen:
+            counts[seen[key]] += c
+        else:
+            seen[key] = len(doc_ids)
+            doc_ids.append(d - 1)
+            term_ids.append(w - 1)
+            counts.append(c)
+    return n_docs, n_terms, np.asarray(doc_ids), np.asarray(term_ids), np.asarray(counts)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from oracles import dense_log_likelihood
+from oracles import dense_log_likelihood, docword_by_lines, em_reference
+from simplexmix import admixture
 from simplexmix.admixture import (
     DocTermMatrix,
     choquet_from_fit,
@@ -63,6 +64,62 @@ class TestLoadDocword:
         for source in (io.StringIO(text), text.encode(), str(path), io.BytesIO(text.encode())):
             x = load_docword(source)
             assert x.counts.tolist() == [7]
+
+
+def _docword_text(rng, n_docs, n_terms, nnz):
+    """A docword file with repeated pairs in shuffled order, mixed separators
+    and line endings, and blank or whitespace-only lines anywhere."""
+    triplets = zip(rng.integers(1, n_docs + 1, nnz), rng.integers(1, n_terms + 1, nnz), rng.integers(1, 9, nnz))
+    rows = [f"{d}{rng.choice([' ', chr(9), '  ', ' ' + chr(9)])}{w} {c}" for d, w, c in triplets]
+    out = []
+    for ln in [str(n_docs), f" {n_terms} ", str(nnz), *rows]:
+        if rng.random() < 0.15:
+            out.append(str(rng.choice(["", "   ", "\t"])) + "\n")
+        out.append(ln + str(rng.choice(["\n", "\r\n", "\r"])))
+    return "".join(out).encode()
+
+
+class TestDocwordParity:
+    """load_docword against the line-by-line oracle parser."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_line_parser(self, seed):
+        rng = np.random.default_rng(seed)
+        nnz = int(rng.integers(50, 400))
+        raw = _docword_text(rng, int(rng.integers(1, 20)), int(rng.integers(1, 10)), nnz)
+        x = load_docword(raw)
+        n_docs, n_terms, doc, term, counts = docword_by_lines(raw)
+        assert (x.n_docs, x.n_terms) == (n_docs, n_terms)
+        np.testing.assert_array_equal(x.doc_ids, doc)
+        np.testing.assert_array_equal(x.term_ids, term)
+        np.testing.assert_array_equal(x.counts, counts)
+        assert x.nnz < nnz  # some pairs were repeated and merged
+
+    @pytest.mark.parametrize(
+        "raw, fragment",
+        [
+            (b"2\n3\n2\n1 1 1\n1 2\n", "malformed triplet line"),
+            (b"2\n3\n2\n1 2\n1 1 1\n", "malformed triplet line"),
+            (b"2\n3\n2\n1 1 1\n1 2 1 4\n", "malformed triplet line"),
+            (b"2\n3\n1\n1 2 1 4\n", "malformed triplet line"),
+            (b"2\n3\n2\n1 1 1\n1 x 1\n", "invalid literal"),
+            (b"2\n3\n2\n1 1 1\n1 2 1.5\n", "invalid literal"),
+            (b"2\n3\n2\n1 1 1\n2\t3  0\n", "positive"),
+            (b"2\n3\n2\n1 1 1\n1 2 -4\n", "positive"),
+            (b"2\n3\n2\n1 1 1\n3 1 1\n", "out of range"),
+            (b"2\n3\n2\n0 1 1\n1 1 1\n", "out of range"),
+            (b"2\n3\n2\n1 1 1\n1 4 1\n", "out of range"),
+            (b"2\n3\n2\n1 1 1\n1 0 1\n", "out of range"),
+            (b"2\n3\n3\n1 1 1\n\n  \n1 2 1\n", "NNZ=3 but body has 2"),
+            (b"2\n3\n1\n1 1 1\n1 2 x\n", "NNZ=1 but body has 2"),
+        ],
+    )
+    def test_errors_match_line_parser(self, raw, fragment):
+        with pytest.raises(ValueError, match=fragment) as expected:
+            docword_by_lines(raw)
+        with pytest.raises(ValueError) as got:
+            load_docword(raw)
+        assert str(got.value) == str(expected.value)
 
 
 class TestDocTermMatrix:
@@ -144,10 +201,11 @@ class TestEmFit:
         x, _, _ = synthetic_corpus(2, 6, 60, 30, 0.9, seed=5)
         a = em_fit(x, 3, max_iters=60, restarts=3, seed=5)
         b = em_fit(x, 3, max_iters=60, restarts=3, seed=5)
-        c = em_fit(x, 3, max_iters=60, restarts=3, seed=5, threads=3)
-        assert a.phi.tobytes() == b.phi.tobytes() == c.phi.tobytes()
-        assert a.f.tobytes() == b.f.tobytes() == c.f.tobytes()
-        assert a.loglik == b.loglik == c.loglik
+        for threads in (2, 3):
+            c = em_fit(x, 3, max_iters=60, restarts=3, seed=5, threads=threads)
+            assert a.phi.tobytes() == b.phi.tobytes() == c.phi.tobytes()
+            assert a.f.tobytes() == b.f.tobytes() == c.f.tobytes()
+            assert a.loglik == b.loglik == c.loglik
 
     def test_permutation_equivariance(self):
         x, _, _ = synthetic_corpus(3, 7, 70, 40, 0.8, seed=6)
@@ -157,6 +215,70 @@ class TestEmFit:
         np.testing.assert_allclose(permuted.f[:, perm], model.f, atol=1e-10)
         np.testing.assert_allclose(permuted.phi, model.phi, atol=1e-10)
         assert permuted.loglik == pytest.approx(model.loglik, rel=1e-10)
+
+
+def _shuffled(x, seed):
+    """The same matrix with its triplets in a random order."""
+    p = np.random.default_rng(seed).permutation(x.nnz)
+    return DocTermMatrix(x.n_docs, x.n_terms, x.doc_ids[p], x.term_ids[p], x.counts[p])
+
+
+class TestFusedStep:
+    """em_fit's fused sparse update against the explicit-responsibility oracle."""
+
+    def _reference(self, x, l_comp, max_iters, seed):
+        return em_reference(x, l_comp, max_iters, seed, 0, admixture._EM_REL_TOL, admixture._EM_SMOOTHING)
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_one_step_matches_reference(self, shuffle):
+        x, _, _ = synthetic_corpus(3, 9, 120, 40, 0.8, seed=20)
+        if shuffle:
+            x = _shuffled(x, 20)
+        model = em_fit(x, 4, max_iters=1, restarts=1, seed=20)
+        phi, f, trace = self._reference(x, 4, 1, 20)
+        assert model.n_iters == 1 and model.stop == "max_iters"
+        np.testing.assert_allclose(model.phi, phi, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(model.f, f, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(model.loglik_trace, trace, rtol=1e-13)
+
+    @pytest.mark.parametrize(
+        "corpus, l_comp, max_iters, shuffle",
+        [
+            ((3, 8, 200, 50, 0.8, 21), 3, 500, False),
+            ((3, 12, 300, 40, 0.9, 22), 4, 500, True),
+            ((2, 6, 150, 30, 0.7, 23), 3, 120, False),
+        ],
+    )
+    def test_fit_matches_reference(self, corpus, l_comp, max_iters, shuffle):
+        *args, seed = corpus
+        x, _, _ = synthetic_corpus(*args, seed=seed)
+        if shuffle:
+            x = _shuffled(x, seed)
+        model = em_fit(x, l_comp, max_iters=max_iters, restarts=1, seed=seed)
+        phi, f, trace = self._reference(x, l_comp, max_iters, seed)
+        assert model.n_iters == trace.size - 1
+        assert model.loglik == pytest.approx(trace[-1], rel=1e-12)
+        np.testing.assert_allclose(model.loglik_trace, trace, rtol=1e-12)
+        np.testing.assert_allclose(model.phi, phi, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(model.f, f, rtol=0, atol=1e-9)
+
+    def test_stop_reasons(self, monkeypatch):
+        x, _, _ = synthetic_corpus(2, 6, 30, 20, 0.9, seed=1)
+        assert em_fit(x, 2, max_iters=1, restarts=1, seed=1).stop == "max_iters"
+        converged = em_fit(x, 2, restarts=1, seed=1)
+        assert converged.stop == "converged" and converged.n_iters < 500
+        # With no relative-gain stop, EM runs until a float decrease at the
+        # fixed point reverts one step.
+        monkeypatch.setattr(admixture, "_EM_REL_TOL", -1.0)
+        plateau = em_fit(x, 2, max_iters=5000, restarts=1, seed=1)
+        assert plateau.stop == "plateau" and plateau.n_iters < 5000
+        assert np.all(np.diff(plateau.loglik_trace) >= 0)
+        # The reverted iterate is the one a run stopped one step earlier returns.
+        truncated = em_fit(x, 2, max_iters=plateau.n_iters, restarts=1, seed=1)
+        assert truncated.stop == "max_iters"
+        assert truncated.phi.tobytes() == plateau.phi.tobytes()
+        assert truncated.f.tobytes() == plateau.f.tobytes()
+        assert truncated.loglik == plateau.loglik == plateau.loglik_trace[-1]
 
 
 class TestIdentifiabilityCheck:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from simplexmix.admixture import synthetic_corpus
-from simplexmix.cli import main
+from simplexmix.cli import _write_matrix, main
 
 
 def read(path):
@@ -213,7 +213,7 @@ class TestFitAdmixtureCommand:
         doc = tmp_path / "docword.txt"
         write_docword(x, doc)
         outs = {}
-        for tag, threads in (("a", "1"), ("b", "3")):
+        for tag, threads in (("a", "1"), ("b", "2"), ("c", "3")):
             d = tmp_path / tag
             d.mkdir()
             run(["fit-admixture", "--input", str(doc), "--L0", "3", "--pca-dim", "2",
@@ -221,7 +221,19 @@ class TestFitAdmixtureCommand:
                  "--json-out", str(d / "report.json"), "--csv-dir", str(d),
                  "--manifest", str(d / "m.json")])
             outs[tag] = (read(d / "report.json"), read(d / "phi.csv"), read(d / "f.csv"))
-        assert outs["a"] == outs["b"]
+        assert outs["a"] == outs["b"] == outs["c"]
+
+    def test_matrix_csv_bytes_match_savetxt(self, tmp_path):
+        rng = np.random.default_rng(24)
+        floor = 1e-10 / (1.0 + 40 * 1e-10)  # a smoothed zero after renormalization
+        for a in (
+            np.array([[1.0, 1e-300, floor], [floor * (1 + 2**-52), 1 / 3, 2 / 3]]),
+            rng.dirichlet(np.ones(4), size=50) + floor,
+            np.array([[0.5]]),
+        ):
+            _write_matrix(str(tmp_path / "fast.csv"), a)
+            np.savetxt(tmp_path / "ref.csv", a, delimiter=",", fmt="%.17g")
+            assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_manifest_rerun_reproduces_digests(self, tmp_path):
         x, _, _ = synthetic_corpus(2, 5, 60, 30, 0.9, seed=23)

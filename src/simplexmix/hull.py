@@ -1,18 +1,20 @@
 """Convex-hull extremal sets, tower counts, Hausdorff distance, PCA projection.
 
-The workhorse is Wolfe's min-norm-point algorithm (MNP) for the distance from
-a point to the convex hull of a finite point set: an active-set method on the
-weight simplex that terminates finitely at machine precision.  Extremality of
-a point is "distance to the hull of the others exceeds a tolerance", which
-works in any moderate dimension without facet enumeration.
+The workhorse is the distance from a point to the convex hull of a finite
+point set, computed exactly by one non-negative least-squares solve (scipy's
+``nnls``, Lawson-Hanson active set) over the hull's weight simplex.
+Extremality of a point is "distance to the hull of the others exceeds
+``EXTREME_TOL``", which works in any moderate dimension without facet
+enumeration.
 
 Extremal-set counting is certificate-first.  A qhull pass on rank-reduced
 isometric coordinates shortlists candidates; each candidate then gets a
 separating direction (the normalized sum of its incident facet normals) whose
 margin over the other candidates is a lower bound on its distance to their
 hull.  A margin above the tolerance proves the candidate extreme in one
-vectorized pass; only the candidates it cannot settle run MNP.  The pure
-per-point MNP route remains available and is used as a fallback.
+vectorized pass; only the candidates it cannot settle run the distance test.
+The pure per-point distance route remains available and is used as a
+fallback.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import nnls
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 __all__ = [
@@ -52,12 +55,6 @@ _QHULL_MAX_DIM = 8
 # Candidate rows per block of the certificate's margin product, so memory
 # stays bounded with thousands of candidates.
 _MARGIN_BLOCK = 256
-
-_MNP_MAX_MAJOR = 1000    # major cycles; active sets stay near size d+1 in practice
-_MNP_ABS_GAP = 1e-24     # dual gap floor on ||w||^2
-_MNP_REL_GAP = 1e-12     # relative dual gap
-_MNP_ZERO = 1e-24        # ||w||^2 below this means the point is in the hull
-_MNP_DROP = 1e-14        # weights at or below this leave the active set
 
 
 @dataclass(frozen=True)
@@ -149,75 +146,35 @@ class TowerCount:
     towers: int
 
 
-def _as_points(ps) -> np.ndarray:
+def _as_points(ps, name: str = "points") -> np.ndarray:
     if isinstance(ps, PointSet):
         return ps.points
     pts = np.asarray(ps, dtype=np.float64)
     if pts.ndim != 2:
         raise ValueError(f"expected a (n, d) array or PointSet, got shape {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise ValueError(f"non-finite values in {name}")
     return pts
 
 
-def _affine_min_norm(xs: np.ndarray) -> np.ndarray:
-    """Weights (summing to 1, sign-free) of the min-norm point in aff(rows)."""
-    k = xs.shape[0]
-    kkt = np.zeros((k + 1, k + 1))
-    kkt[0, 1:] = 1.0
-    kkt[1:, 0] = 1.0
-    kkt[1:, 1:] = xs @ xs.T
-    rhs = np.zeros(k + 1)
-    rhs[0] = 1.0
-    return np.linalg.lstsq(kkt, rhs, rcond=None)[0][1:]
+def _hull_distance(p: np.ndarray, pts: np.ndarray) -> float:
+    """Distance from ``p`` to Conv(rows of ``pts``) by one NNLS solve.
 
-
-def _mnp_distance(p: np.ndarray, pts: np.ndarray) -> float:
-    """Distance from ``p`` to Conv(rows of ``pts``) by Wolfe's min-norm-point.
-
-    Works in coordinates shifted by -p, so the target is the min-norm point
-    of the hull.  Major cycles add the vertex most aligned against the
-    current point; minor cycles re-solve the affine subproblem on the active
-    set and drop atoms whose weight would turn negative.  Exact for p in the
-    hull (returns 0 up to machine scale) and for boundary projections.
+    With Y = pts - p, u = argmin_{u >= 0} |Y^T u|^2 + (sum(u) - 1)^2.  For
+    s = sum(u) and D = |Y^T u / s| the objective is s^2 D^2 + (s - 1)^2, whose
+    minimum over s, D^2 / (1 + D^2), increases with D; so lam = u / s is the
+    min-norm weight vector on the simplex.  The distance is read off lam, not
+    off the residual, so it is the norm of a point of the hull: an upper bound
+    that is exact up to rounding.  ``pts`` must have at least one row.
     """
-    x = pts - p
-    norms2 = (x * x).sum(axis=1)
-    start = int(np.argmin(norms2))
-    active = [start]
-    lam = np.array([1.0])
-    w = x[start].copy()
-    for _ in range(_MNP_MAX_MAJOR):
-        wn = float(w @ w)
-        if wn <= _MNP_ZERO:
-            break
-        g = x @ w
-        j = int(np.argmin(g))
-        if wn - float(g[j]) <= max(_MNP_ABS_GAP, _MNP_REL_GAP * wn):
-            break
-        if j in active:
-            break  # no numerically new descent vertex
-        active.append(j)
-        lam = np.append(lam, 0.0)
-        for _ in range(pts.shape[0]):
-            alpha = _affine_min_norm(x[active])
-            if alpha.min() > _MNP_DROP:
-                lam = alpha
-                break
-            neg = alpha <= _MNP_DROP
-            denom = lam[neg] - alpha[neg]
-            ratios = np.where(denom > 0.0, lam[neg] / np.where(denom > 0.0, denom, 1.0), np.inf)
-            theta = min(1.0, float(ratios.min()))
-            lam = theta * alpha + (1.0 - theta) * lam
-            lam[lam < _MNP_DROP] = 0.0
-            keep = lam > 0.0
-            if keep.all():
-                keep[int(np.argmin(alpha))] = False  # force progress
-            active = [a for a, kp in zip(active, keep) if kp]
-            lam = lam[keep]
-            if len(active) == 1:
-                lam = np.array([1.0])
-                break
-        w = x[active].T @ lam
-    return math.sqrt(max(float(w @ w), 0.0))
+    y = pts - p
+    if not y.any(axis=1).all():
+        return 0.0  # p is one of the points
+    a = np.vstack([y.T, np.ones(y.shape[0])])
+    b = np.zeros(a.shape[0])
+    b[-1] = 1.0
+    u, _ = nnls(a, b)
+    return float(np.linalg.norm(y.T @ (u / u.sum())))
 
 
 def point_to_hull_distance(p, ps) -> float:
@@ -225,6 +182,8 @@ def point_to_hull_distance(p, ps) -> float:
 
     ``ps`` may be a PointSet or an (n, d) array.  Returns 0 (to within solver
     precision, well below 1e-9) for any convex combination of the points.
+    Raises ``ValueError`` on an empty set or a non-finite coordinate, and
+    ``RuntimeError`` if the NNLS solver reaches its iteration cap.
     """
     pts = _as_points(ps)
     if pts.shape[0] == 0:
@@ -232,11 +191,14 @@ def point_to_hull_distance(p, ps) -> float:
     p = np.asarray(p, dtype=np.float64).ravel()
     if p.size != pts.shape[1]:
         raise ValueError(f"dimension mismatch: point has {p.size}, set has {pts.shape[1]}")
-    return _mnp_distance(p, pts)
+    if not np.isfinite(p).all():
+        raise ValueError("non-finite values in point")
+    return _hull_distance(p, pts)
 
 
-def is_extreme(i: int, ps, tol: float = EXTREME_TOL) -> bool:
-    """True iff point ``i`` is farther than ``tol`` from the hull of the rest."""
+def is_extreme(i: int, ps) -> bool:
+    """True iff point ``i`` is farther than ``EXTREME_TOL`` from the hull of
+    the rest."""
     pts = _as_points(ps)
     n = pts.shape[0]
     if not 0 <= i < n:
@@ -244,7 +206,7 @@ def is_extreme(i: int, ps, tol: float = EXTREME_TOL) -> bool:
     if n < 2:
         raise ValueError("need at least 2 distinct points")
     others = np.delete(pts, i, axis=0)
-    return _mnp_distance(pts[i], others) > tol
+    return _hull_distance(pts[i], others) > EXTREME_TOL
 
 
 def _centered_svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -284,25 +246,27 @@ def _fix_signs(vt: np.ndarray) -> np.ndarray:
     return out
 
 
-def _perpoint_keep(z: np.ndarray, tol: float, rows=None) -> np.ndarray:
-    """Rows of ``z`` (all, or those listed in ``rows``) farther than ``tol``
-    from the hull of the other rows, by MNP."""
+def _perpoint_keep(z: np.ndarray, rows=None) -> np.ndarray:
+    """Rows of ``z`` (all, or those listed in ``rows``) farther than
+    ``EXTREME_TOL`` from the hull of the other rows, by the NNLS distance."""
     rows = range(z.shape[0]) if rows is None else rows
-    keep = [int(i) for i in rows if _mnp_distance(z[i], np.delete(z, i, axis=0)) > tol]
+    keep = [int(i) for i in rows if _hull_distance(z[i], np.delete(z, i, axis=0)) > EXTREME_TOL]
     return np.asarray(keep, dtype=np.int64)
 
 
-def _certified(z: np.ndarray, hull: ConvexHull, cand: np.ndarray, tol: float) -> np.ndarray:
+def _certified(z: np.ndarray, hull: ConvexHull, cand: np.ndarray) -> np.ndarray:
     """Mask over ``cand``: True where a separating direction proves the
-    candidate farther than ``tol`` from the hull of the other candidates.
+    candidate farther than ``EXTREME_TOL`` from the hull of the other
+    candidates.
 
     Candidate a gets u_a, the normalized sum of the unit normals of its
     incident facets.  Every y in the hull of the others has u_a.y <= max_b
     u_a.z_b, so |z_a - y| >= u_a.(z_a - y) >= margin_a = u_a.z_a - max_b
-    u_a.z_b: the margin is a lower bound on the distance, while MNP returns
-    the norm of a point of that hull, an upper bound.  A margin above ``tol``
-    therefore implies MNP's verdict "extreme".  A zero u_a gives NaN margins,
-    which are never certified.
+    u_a.z_b: the margin is a lower bound on the distance, while
+    ``_hull_distance`` returns the norm of a point of that hull, an upper
+    bound.  A margin above ``EXTREME_TOL`` therefore implies the distance
+    test's verdict "extreme".  A zero u_a gives NaN margins, which are never
+    certified.
     """
     zc = z[cand]
     normal_sum = np.zeros_like(z)
@@ -319,23 +283,24 @@ def _certified(z: np.ndarray, hull: ConvexHull, cand: np.ndarray, tol: float) ->
         margin[lo : lo + _MARGIN_BLOCK] = own - g.max(axis=1)
     # Rounding moves a margin by about 2*r*eps*max|z|, ~1e-15 on the
     # unit-scale clouds of the simplex and eight orders below EXTREME_TOL =
-    # 1e-7, and MNP's returned norm by about as much.  The slack covers both,
-    # so a certified candidate is one MNP would also keep.
+    # 1e-7, and the NNLS distance's returned norm by about as much.  The
+    # slack covers both, so a certified candidate is one the distance test
+    # would also keep.
     r = z.shape[1]
     slack = 8 * (r + 1) * np.finfo(np.float64).eps * float(np.abs(zc).max())
-    return margin > tol + slack
+    return margin > EXTREME_TOL + slack
 
 
-def extremal_set(ps, tol: float = EXTREME_TOL, method: str = "auto") -> ExtremalSet:
-    """Indices of extreme points of ``ps`` at tolerance ``tol``.
+def extremal_set(ps, method: str = "auto") -> ExtremalSet:
+    """Indices of extreme points of ``ps`` at tolerance ``EXTREME_TOL``.
 
     method="auto" shortlists hull vertices with qhull on rank-reduced
     coordinates, certifies each candidate whose separating-direction margin
-    over the other candidates exceeds ``tol`` (see ``_certified``), and
-    confirms only the rest with the MNP distance test; the result equals
-    MNP on every candidate.  "perpoint" runs the distance test on every point
-    (any dimension, slower); "auto" also takes that route above rank 8 and
-    when qhull fails.
+    over the other candidates exceeds the tolerance (see ``_certified``), and
+    confirms only the rest with the NNLS distance test; the result equals
+    that test on every candidate.  "perpoint" runs the distance test on every
+    point (any dimension, slower); "auto" also takes that route above rank 8
+    and when qhull fails.
     """
     if method not in ("auto", "perpoint"):
         raise ValueError(f"unknown method {method!r}")
@@ -355,14 +320,14 @@ def extremal_set(ps, tol: float = EXTREME_TOL, method: str = "auto") -> Extremal
         # Affinely independent: every point is a vertex.
         return ExtremalSet(np.arange(n))
     if method == "perpoint" or r > _QHULL_MAX_DIM:
-        return ExtremalSet(_perpoint_keep(z, tol))
+        return ExtremalSet(_perpoint_keep(z))
     try:
         hull = ConvexHull(z)
     except QhullError:
-        return ExtremalSet(_perpoint_keep(z, tol))
+        return ExtremalSet(_perpoint_keep(z))
     cand = np.sort(hull.vertices.astype(np.int64))
-    ok = _certified(z, hull, cand, tol)
-    confirmed = _perpoint_keep(z[cand], tol, np.flatnonzero(~ok))
+    ok = _certified(z, hull, cand)
+    confirmed = _perpoint_keep(z[cand], np.flatnonzero(~ok))
     return ExtremalSet(cand[np.concatenate([np.flatnonzero(ok), confirmed])])
 
 
@@ -372,12 +337,15 @@ def hausdorff(a, b) -> float:
     max over points of either set of the distance to the other hull;
     symmetric, zero iff the hulls coincide (within solver precision).
     """
-    pa = _as_points(a)
-    pb = _as_points(b)
+    pa = _as_points(a, "point set a")
+    pb = _as_points(b, "point set b")
+    for name, pts in (("a", pa), ("b", pb)):
+        if pts.shape[0] == 0:
+            raise ValueError(f"point set {name} is empty")
     if pa.shape[1] != pb.shape[1]:
         raise ValueError(f"dimension mismatch: {pa.shape[1]} vs {pb.shape[1]}")
-    d_ab = max(_mnp_distance(p, pb) for p in pa)
-    d_ba = max(_mnp_distance(q, pa) for q in pb)
+    d_ab = max(_hull_distance(p, pb) for p in pa)
+    d_ba = max(_hull_distance(q, pa) for q in pb)
     return max(d_ab, d_ba)
 
 

@@ -1,5 +1,7 @@
 """Independent brute-force oracles the library code never touches."""
 
+import itertools
+
 import numpy as np
 from scipy.spatial import cKDTree
 
@@ -48,6 +50,30 @@ def towers_by_dfs(j_vertices: int) -> int:
         return sum(extend(face | {v}) for v in range(j_vertices) if v not in face)
 
     return sum(extend(frozenset([v])) for v in range(j_vertices))
+
+
+def hull_distance_by_faces(p: np.ndarray, points: np.ndarray) -> float:
+    """Distance from ``p`` to the convex hull of ``points`` by face enumeration.
+
+    Every nonempty subset of the points is projected onto its affine hull by
+    least squares on vertex differences (``lstsq`` on [v_1 - v_0, ...], never
+    the Gram matrix).  A projection whose affine weights are all
+    non-negative lies in the hull; the nearest such projection is the
+    distance, since the min-norm point lies in the relative interior of the
+    hull of some subset and is that subset's affine projection.
+    Exponential in n: for n of about 10 or fewer.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    pts = np.asarray(points, dtype=np.float64)
+    best = np.inf
+    for k in range(1, pts.shape[0] + 1):
+        for subset in itertools.combinations(range(pts.shape[0]), k):
+            v0 = pts[subset[0]]
+            diffs = pts[list(subset[1:])] - v0
+            c = np.linalg.lstsq(diffs.T, p - v0, rcond=None)[0]
+            if c.min(initial=0.0) >= 0.0 and c.sum() <= 1.0:
+                best = min(best, float(np.linalg.norm(p - v0 - diffs.T @ c)))
+    return best
 
 
 def dense_log_likelihood(dense_counts: np.ndarray, phi: np.ndarray, f: np.ndarray) -> float:

@@ -1,3 +1,4 @@
+import functools
 import importlib
 import importlib.util
 import inspect
@@ -7,7 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
+from simplexmix import hull
 from simplexmix.admixture import synthetic_corpus
 from simplexmix.cli import _write_matrix, main
 
@@ -133,6 +136,16 @@ class TestHullLimitCommand:
         d = [float(r.split(",")[1]) for r in read(f"{out}.csv").strip().splitlines()[1:]]
         assert d == sorted(d, reverse=True)
         assert max(d) <= 2.0
+
+    def test_solver_iteration_cap_exits_3(self, tmp_path, monkeypatch):
+        # the NNLS iteration cap raises instead of returning a partial answer;
+        # growth would not show it, as the certificate settles every candidate
+        # of a uniform cloud without calling the solver
+        monkeypatch.setattr(hull, "nnls", functools.partial(nnls, maxiter=1))
+        with pytest.raises(RuntimeError):
+            hull.point_to_hull_distance([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
+        run(["hull-limit", "--J", "3", "--n-grid", "10,100", "--out", str(tmp_path / "h"),
+             "--manifest", str(tmp_path / "m.json")], expect=3)
 
 
 class TestDefinettiCommand:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from oracles import dedup_by_pairs, orientation_hull_vertices, towers_by_dfs
+from oracles import dedup_by_pairs, hull_distance_by_faces, orientation_hull_vertices, towers_by_dfs
 from simplexmix.hull import (
     DEDUP_TOL,
     EXTREME_TOL,
@@ -86,9 +86,31 @@ class TestHullDistance:
             worst = max(worst, point_to_hull_distance(p, vertices))
         assert worst <= 1e-9
 
+    def test_matches_face_oracle(self):
+        # 300 random sets (n <= 7, d <= 4), every other one squeezed to 1e-6
+        # along one axis; queries are a random point and the first point
+        # against the hull of the rest
+        rng = np.random.default_rng(21)
+        for case in range(300):
+            n, d = int(rng.integers(2, 8)), int(rng.integers(2, 5))
+            scale = np.ones(d)
+            if case % 2:
+                scale[rng.integers(d)] = 1e-6
+            pts = rng.random((n, d)) * scale
+            p = (1.5 * rng.random(d) - 0.25) * scale
+            for q, others in ((p, pts), (pts[0], pts[1:])):
+                got = point_to_hull_distance(q, others)
+                assert abs(got - hull_distance_by_faces(q, others)) <= 1e-12, (case, got)
+
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
             point_to_hull_distance([0.0], np.zeros((0, 1)))
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="non-finite values in point"):
+            point_to_hull_distance([np.nan, 0.0], np.eye(2))
+        with pytest.raises(ValueError, match="non-finite values in points"):
+            point_to_hull_distance([0.0, 0.0], np.array([[1.0, 0.0], [np.inf, 1.0]]))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -220,8 +242,9 @@ class TestExtremalSet:
 
 
 class TestCertificate:
-    """Certificate-first extremal_set against MNP on every qhull candidate,
-    the confirmation it short-cuts, and against the pure MNP route."""
+    """Certificate-first extremal_set against the NNLS distance on every qhull
+    candidate, the confirmation it short-cuts, and against the pure per-point
+    distance route."""
 
     def check(self, ps, perpoint=True):
         z, _ = _affine_coordinates(ps.points)
@@ -231,8 +254,9 @@ class TestCertificate:
         dist = np.array(
             [point_to_hull_distance(zc[a], np.delete(zc, a, axis=0)) for a in range(cand.size)]
         )
-        ok = _certified(z, hull, cand, EXTREME_TOL)
-        # the margin is a lower bound on the distance MNP bounds from above
+        ok = _certified(z, hull, cand)
+        # the margin is a lower bound on the distance, which the NNLS
+        # distance bounds from above
         assert (dist[ok] > EXTREME_TOL).all()
         es = extremal_set(ps)
         np.testing.assert_array_equal(es.indices, cand[dist > EXTREME_TOL])
@@ -249,7 +273,7 @@ class TestCertificate:
     def test_near_duplicate_vertex(self, gap):
         # DEDUP_TOL < gap < EXTREME_TOL: both copies survive dedup, and no
         # direction separates them by more than the gap, so where both are
-        # candidates MNP decides.  Candidate-only confirmation can differ from
+        # candidates the distance test decides.  Candidate-only confirmation can differ from
         # "perpoint" here (a twin inside the hull is not a candidate).
         rng = np.random.default_rng(int(gap * 1e10))
         for J in (3, 4, 5):
@@ -263,7 +287,7 @@ class TestCertificate:
             self.check(ps, perpoint=False)
 
     def test_near_flat_clouds(self):
-        # anisotropy 1e-6; "perpoint" is slow here and differs on some clouds
+        # anisotropy 1e-6; "perpoint" differs on some clouds
         rng = np.random.default_rng(8)
         for d in (3, 4):
             for _ in range(3):
@@ -308,6 +332,18 @@ class TestHausdorff:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             hausdorff(np.eye(2), np.eye(3))
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(ValueError, match="point set b is empty"):
+            hausdorff(np.eye(2), np.zeros((0, 2)))
+        with pytest.raises(ValueError, match="point set a is empty"):
+            hausdorff(np.zeros((0, 2)), np.eye(2))
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="non-finite values in point set a"):
+            hausdorff(np.array([[np.nan, 0.0]]), np.eye(2))
+        with pytest.raises(ValueError, match="non-finite values in point set b"):
+            hausdorff(np.eye(2), np.array([[0.0, -np.inf]]))
 
 
 class TestTowers:

@@ -3,18 +3,19 @@
 The workhorse is the distance from a point to the convex hull of a finite
 point set, computed exactly by one non-negative least-squares solve (scipy's
 ``nnls``, Lawson-Hanson active set) over the hull's weight simplex.
-Extremality of a point is "distance to the hull of the others exceeds
-``EXTREME_TOL``", which works in any moderate dimension without facet
-enumeration.
+``EXTREME_TOL`` is the module's one tolerance, and a point is extreme iff its
+distance to the hull of all other points exceeds it.  This works in any
+moderate dimension without facet enumeration.  ``PointSet`` merges points
+within the same tolerance.
 
 Extremal-set counting is certificate-first.  A qhull pass on rank-reduced
 isometric coordinates shortlists candidates; each candidate then gets a
 separating direction (the normalized sum of its incident facet normals) whose
-margin over the other candidates is a lower bound on its distance to their
-hull.  A margin above the tolerance proves the candidate extreme in one
-vectorized pass; only the candidates it cannot settle run the distance test.
-The pure per-point distance route remains available and is used as a
-fallback.
+margin over all other points is a lower bound on its distance to their hull.
+A margin above the tolerance proves the candidate extreme in one vectorized
+pass; only the candidates it cannot settle run the distance test, against all
+other points.  The pure per-point distance route remains available and is
+used as a fallback, so every route applies the same rule.
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import nnls
-from scipy.spatial import ConvexHull, QhullError, cKDTree
+from scipy.spatial import ConvexHull, QhullError
 
 __all__ = [
-    "DEDUP_TOL",
     "EXTREME_TOL",
     "PointSet",
     "ExtremalSet",
@@ -43,23 +43,23 @@ __all__ = [
     "pca_project",
 ]
 
-# Points closer than this are merged on PointSet construction.
-DEDUP_TOL = 1e-9
-# Points within this distance of the others' hull are declared non-extreme
-# (conservative: near-duplicates of a vertex do not count twice).
+# The one extremality tolerance: a point is extreme iff its distance to the
+# hull of all other points exceeds it.  PointSet merges points this close, so
+# near-duplicates of a vertex count once instead of ruling each other out.
 EXTREME_TOL = 1e-7
 
 # extremal_set falls back to per-point distance tests above this rank.
 _QHULL_MAX_DIM = 8
 
-# Candidate rows per block of the certificate's margin product, so memory
-# stays bounded with thousands of candidates.
-_MARGIN_BLOCK = 256
+# Entries per block of the certificate's candidates-by-points margin
+# product, so its memory stays small whatever the cloud size.
+_MARGIN_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
 class PointSet:
-    """Immutable set of points in R^d, deduplicated at ``DEDUP_TOL``."""
+    """Immutable set of points in R^d, deduplicated at ``EXTREME_TOL``: a
+    point that close to an earlier kept point is dropped (``_dedup``)."""
 
     points: np.ndarray
 
@@ -69,7 +69,7 @@ class PointSet:
             raise ValueError(f"points must be a nonempty (n, d) array, got shape {pts.shape}")
         if not np.all(np.isfinite(pts)):
             raise ValueError("points contain non-finite values")
-        pts = _dedup(pts, DEDUP_TOL)
+        pts = _dedup(pts, EXTREME_TOL)
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -98,24 +98,49 @@ class PointSet:
 
 
 def _dedup(pts: np.ndarray, tol: float) -> np.ndarray:
-    """Drop near-duplicate rows, keeping the first occurrence, order preserved."""
-    n = pts.shape[0]
-    if n <= 1:
-        return pts.copy()
-    tree = cKDTree(pts)
-    # Screen: with no neighbour inside 2*tol there is no pair within tol.  The
-    # doubled bound leaves room for the two queries' rounding.
-    dist, _ = tree.query(pts, k=2, distance_upper_bound=2.0 * tol)
-    if np.isinf(dist[:, 1]).all():
-        return pts.copy()
-    pairs = tree.query_pairs(r=tol, output_type="ndarray")
-    if len(pairs) == 0:
-        return pts.copy()
+    """Drop near-duplicate rows, keeping the first occurrence, order preserved.
+
+    Pair-greedy rule: pairs within ``tol`` are visited in index order, and the
+    later row is dropped unless one of the two is gone already.  Rows are swept
+    in order of their projection onto a fixed unit direction (not parallel to
+    all-ones, on which simplex clouds are flat).  An exact copy of an earlier
+    row goes at once: the rule drops it, at its pair with that row or with the
+    row that dropped that row, before it can drop another row.
+    """
+    n, d = pts.shape
+    w = np.cos(np.arange(1.0, d + 1.0))
+    w /= np.linalg.norm(w)
+    s = pts @ w
+    order = np.argsort(s)
+    if (np.diff(s[order]) == 0).any():
+        order = np.argsort(s, kind="stable")  # equal projections in row order
+    s = s[order]
+    tie = np.flatnonzero(s[1:] == s[:-1]) + 1
+    copy = tie[(pts[order[tie]] == pts[order[tie - 1]]).all(axis=1)]
     drop = np.zeros(n, dtype=bool)
+    drop[order[copy]] = True
+    order, s = np.delete(order, copy), np.delete(s, copy)
+    # |w.(x - y)| <= |x - y|, so a pair within tol projects within tol plus
+    # the projections' rounding, at most 2 * d**1.5 * eps * max|x|: the
+    # window's second tol covers it on unit-scale clouds, the last term on
+    # larger ones.
+    width = 2.0 * tol + 4.0 * d * d * np.finfo(np.float64).eps * float(np.abs(pts).max())
+    # Sorted position a pairs with a + k while s[a + k] - s[a] <= width; a
+    # position out of its window at offset k stays out at k + 1.
+    window = [np.empty((0, 2), dtype=np.intp)]
+    a, k = np.arange(s.size - 1), 1
+    while a.size:
+        a = a[s[a + k] - s[a] <= width]
+        window.append(np.column_stack([a, a + k]))
+        k += 1
+        a = a[a + k < s.size]
+    i, j = order[np.concatenate(window).T]
+    close = ((pts[i] - pts[j]) ** 2).sum(axis=1) <= tol * tol
+    pairs = np.column_stack([np.minimum(i, j), np.maximum(i, j)])[close]
     for i, j in pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]:
         if not drop[i] and not drop[j]:
             drop[j] = True
-    return pts[~drop].copy()
+    return pts[~drop]
 
 
 @dataclass(frozen=True)
@@ -256,51 +281,55 @@ def _perpoint_keep(z: np.ndarray, rows=None) -> np.ndarray:
 
 def _certified(z: np.ndarray, hull: ConvexHull, cand: np.ndarray) -> np.ndarray:
     """Mask over ``cand``: True where a separating direction proves the
-    candidate farther than ``EXTREME_TOL`` from the hull of the other
-    candidates.
+    candidate farther than ``EXTREME_TOL`` from the hull of all other rows of
+    ``z``.
 
     Candidate a gets u_a, the normalized sum of the unit normals of its
-    incident facets.  Every y in the hull of the others has u_a.y <= max_b
-    u_a.z_b, so |z_a - y| >= u_a.(z_a - y) >= margin_a = u_a.z_a - max_b
-    u_a.z_b: the margin is a lower bound on the distance, while
+    incident facets.  Every y in the hull of the other rows has u_a.y <=
+    max_b u_a.z_b, so |z_a - y| >= u_a.(z_a - y) >= margin_a = u_a.z_a -
+    max_b u_a.z_b: the margin is a lower bound on the distance, while
     ``_hull_distance`` returns the norm of a point of that hull, an upper
     bound.  A margin above ``EXTREME_TOL`` therefore implies the distance
     test's verdict "extreme".  A zero u_a gives NaN margins, which are never
     certified.
     """
-    zc = z[cand]
     normal_sum = np.zeros_like(z)
     np.add.at(normal_sum, hull.simplices, hull.equations[:, None, :-1])
     u = normal_sum[cand]
     with np.errstate(invalid="ignore", divide="ignore"):
         u /= np.linalg.norm(u, axis=1, keepdims=True)
+    zt = np.ascontiguousarray(z.T)
     margin = np.empty(len(cand))
-    for lo in range(0, len(cand), _MARGIN_BLOCK):
-        g = u[lo : lo + _MARGIN_BLOCK] @ zc.T
-        rows = np.arange(g.shape[0])
-        own = g[rows, lo + rows]
-        g[rows, lo + rows] = -np.inf
-        margin[lo : lo + _MARGIN_BLOCK] = own - g.max(axis=1)
+    step = max(1, _MARGIN_BLOCK // z.shape[0])
+    for lo in range(0, len(cand), step):
+        g = u[lo : lo + step] @ zt
+        rows, own = np.arange(g.shape[0]), cand[lo : lo + step]
+        margin[lo : lo + step] = g[rows, own]
+        g[rows, own] = -np.inf
+        margin[lo : lo + step] -= g.max(axis=1)
     # Rounding moves a margin by about 2*r*eps*max|z|, ~1e-15 on the
     # unit-scale clouds of the simplex and eight orders below EXTREME_TOL =
     # 1e-7, and the NNLS distance's returned norm by about as much.  The
     # slack covers both, so a certified candidate is one the distance test
     # would also keep.
     r = z.shape[1]
-    slack = 8 * (r + 1) * np.finfo(np.float64).eps * float(np.abs(zc).max())
+    slack = 8 * (r + 1) * np.finfo(np.float64).eps * float(np.abs(z).max())
     return margin > EXTREME_TOL + slack
 
 
 def extremal_set(ps, method: str = "auto") -> ExtremalSet:
-    """Indices of extreme points of ``ps`` at tolerance ``EXTREME_TOL``.
+    """Indices of the points of ``ps`` farther than ``EXTREME_TOL`` from the
+    hull of all its other points (``is_extreme`` on every point).
 
     method="auto" shortlists hull vertices with qhull on rank-reduced
-    coordinates, certifies each candidate whose separating-direction margin
-    over the other candidates exceeds the tolerance (see ``_certified``), and
-    confirms only the rest with the NNLS distance test; the result equals
-    that test on every candidate.  "perpoint" runs the distance test on every
-    point (any dimension, slower); "auto" also takes that route above rank 8
-    and when qhull fails.
+    coordinates; the other points lie inside the hull up to qhull's rounding.
+    It certifies each candidate whose separating-direction margin over all
+    other points exceeds the tolerance (see ``_certified``), and runs the
+    NNLS distance test against all other points on the rest.  "perpoint"
+    runs that test on every point (any dimension, slower); "auto" also takes
+    that route for affinely independent points, above rank 8 and when qhull
+    fails.  On collinear points the two ends are extreme: ``PointSet`` keeps
+    no two points within the tolerance.
     """
     if method not in ("auto", "perpoint"):
         raise ValueError(f"unknown method {method!r}")
@@ -316,10 +345,7 @@ def extremal_set(ps, method: str = "auto") -> ExtremalSet:
     if r == 1:
         coord = z[:, 0]
         return ExtremalSet(np.unique([int(np.argmin(coord)), int(np.argmax(coord))]))
-    if n <= r + 1:
-        # Affinely independent: every point is a vertex.
-        return ExtremalSet(np.arange(n))
-    if method == "perpoint" or r > _QHULL_MAX_DIM:
+    if method == "perpoint" or n <= r + 1 or r > _QHULL_MAX_DIM:
         return ExtremalSet(_perpoint_keep(z))
     try:
         hull = ConvexHull(z)
@@ -327,8 +353,7 @@ def extremal_set(ps, method: str = "auto") -> ExtremalSet:
         return ExtremalSet(_perpoint_keep(z))
     cand = np.sort(hull.vertices.astype(np.int64))
     ok = _certified(z, hull, cand)
-    confirmed = _perpoint_keep(z[cand], np.flatnonzero(~ok))
-    return ExtremalSet(cand[np.concatenate([np.flatnonzero(ok), confirmed])])
+    return ExtremalSet(np.concatenate([cand[ok], _perpoint_keep(z, cand[~ok])]))
 
 
 def hausdorff(a, b) -> float:

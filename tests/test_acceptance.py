@@ -85,6 +85,14 @@ def test_criterion_02_triangle_growth():
             curve = growth_experiment(cfg)
             assert np.all(np.diff(curve.mean_f0) > 0), "means not strictly increasing"
             fits[seed] = fit_growth(curve)
+            # Renyi-Sulanke (1963): in a triangle E f0 = 2 ln n + O(1).  The
+            # weighted least-squares slope of mean_f0 on ln n, weights
+            # 1 / stderr^2, must be within 3 standard errors of 2.
+            x, w = np.log(curve.n), curve.stderr**-2.0
+            xc = x - (w @ x) / w.sum()
+            slope, se = (w * xc) @ curve.mean_f0 / (w @ xc**2), (w @ xc**2) ** -0.5
+            print(f"    seed{seed}: slope of mean f0 on ln n = {slope:.3f} +- {se:.3f}")
+            assert abs(slope - 2.0) <= 3.0 * se
         p1, p2 = fits[101].p_hat, fits[202].p_hat
         print(
             f"    fitted exponents: seed101={p1:.4f}, seed202={p2:.4f}; "

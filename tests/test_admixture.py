@@ -321,6 +321,13 @@ class TestTwoStage:
         assert report.model.n_components == 3
         assert report.identifiable.all()
 
+    @pytest.mark.parametrize("seed", [203, 209, 213])
+    def test_overfit_prunes_to_truth(self, seed):
+        # Fitted rows on one true vertex can land 1e-9..1e-8 apart; merged at
+        # EXTREME_TOL they count once instead of ruling each other out.
+        x, _, _ = synthetic_corpus(6, 200, 2000, 150, 1.0, seed=seed)
+        assert two_stage(x, l0=16, restarts=5, seed=seed).final_m == 6
+
     def test_term_remap_recorded(self):
         x, _, _ = synthetic_corpus(3, 9, 200, 60, 1.0, seed=12)
         report = two_stage(x, l0=3, seed=12)

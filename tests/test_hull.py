@@ -6,7 +6,6 @@ from scipy.spatial import ConvexHull
 
 from oracles import dedup_by_pairs, hull_distance_by_faces, orientation_hull_vertices, towers_by_dfs
 from simplexmix.hull import (
-    DEDUP_TOL,
     EXTREME_TOL,
     PointSet,
     _affine_coordinates,
@@ -49,21 +48,27 @@ class TestPointSet:
         ps = PointSet(np.random.default_rng(1).random((4, 2)))
         np.testing.assert_array_equal(PointSet.from_json(ps.to_json()).points, ps.points)
 
-    @pytest.mark.parametrize("gap", [0.0, 0.5, 1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("gap", [0.0, 0.5, 0.999, 1.0, 1.001, 1.5, 3.0])
     def test_dedup_matches_pair_rule(self, gap):
-        # twins at gap * DEDUP_TOL from their source, some sources twinned
-        # twice, shuffled so a twin can come before its source
+        # twins at gap * EXTREME_TOL from their source, some sources twinned
+        # twice, ten of them also copied exactly, shuffled so a twin or a
+        # copy can come before its source
         rng = np.random.default_rng(int(gap * 10))
         for d in (2, 3, 5):
             base = rng.random((400, d))
             src = rng.choice(400, size=30)
             step = rng.standard_normal((30, d))
-            step *= gap * DEDUP_TOL / np.linalg.norm(step, axis=1, keepdims=True)
-            cloud = np.vstack([base, base[src] + step])[rng.permutation(430)]
+            step *= gap * EXTREME_TOL / np.linalg.norm(step, axis=1, keepdims=True)
+            cloud = np.vstack([base, base[src] + step, base[src[:10]]])[rng.permutation(440)]
             kept = PointSet(cloud).points
-            np.testing.assert_array_equal(kept, dedup_by_pairs(cloud, DEDUP_TOL))
+            np.testing.assert_array_equal(kept, dedup_by_pairs(cloud, EXTREME_TOL))
             if gap < 1.0:
                 assert kept.shape[0] < 430
+
+    def test_point_mass_cloud(self):
+        # 1e4 draws from three atoms: the exact copies go without a pair visit
+        spec = SamplerSpec("point-mass", 3, 4, atoms=np.eye(3), weights=[0.5, 0.3, 0.2])
+        assert PointSet(sample(spec, 10_000)).n == 3
 
 
 class TestHullDistance:
@@ -236,32 +241,46 @@ class TestExtremalSet:
             es.indices, extremal_set(PointSet(grid), method="perpoint").indices
         )
 
+    def test_collinear_endpoint_twin(self):
+        # the twin 6.7e-8 from the end merges into it, so both routes keep
+        # the two ends, as is_extreme does
+        t = np.r_[0.0, 3e-8, np.linspace(0.1, 1.0, 20)]
+        ps = PointSet(np.column_stack([t, 2 * t]))
+        es = extremal_set(ps)
+        np.testing.assert_array_equal(es.indices, [0, ps.n - 1])
+        np.testing.assert_array_equal(es.indices, [i for i in range(ps.n) if is_extreme(i, ps)])
+        np.testing.assert_array_equal(es.indices, extremal_set(ps, method="perpoint").indices)
+
+    def test_affinely_independent_thin_simplex(self):
+        # three affinely independent points, one 1e-9 from the segment of the
+        # other two: not extreme, as is_extreme says
+        ps = PointSet(np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-9]]))
+        np.testing.assert_array_equal(extremal_set(ps).indices, [0, 1])
+        assert not is_extreme(2, ps)
+
     def test_json(self):
         es = extremal_set(PointSet(np.eye(3)))
         assert es.to_json() == '{"indices": [0, 1, 2], "f0": 3}'
 
 
 class TestCertificate:
-    """Certificate-first extremal_set against the NNLS distance on every qhull
-    candidate, the confirmation it short-cuts, and against the pure per-point
-    distance route."""
+    """Certificate-first extremal_set against the pure per-point distance
+    route and ``is_extreme`` on every row, and each certified candidate
+    against its NNLS distance to the hull of all other rows."""
 
-    def check(self, ps, perpoint=True):
+    def check(self, ps):
         z, _ = _affine_coordinates(ps.points)
         hull = ConvexHull(z)
         cand = np.sort(hull.vertices)
-        zc = z[cand]
-        dist = np.array(
-            [point_to_hull_distance(zc[a], np.delete(zc, a, axis=0)) for a in range(cand.size)]
-        )
         ok = _certified(z, hull, cand)
         # the margin is a lower bound on the distance, which the NNLS
         # distance bounds from above
-        assert (dist[ok] > EXTREME_TOL).all()
+        dist = [point_to_hull_distance(z[a], np.delete(z, a, axis=0)) for a in cand[ok]]
+        assert all(d > EXTREME_TOL for d in dist)
         es = extremal_set(ps)
-        np.testing.assert_array_equal(es.indices, cand[dist > EXTREME_TOL])
-        if perpoint:
-            np.testing.assert_array_equal(es.indices, extremal_set(ps, method="perpoint").indices)
+        np.testing.assert_array_equal(es.indices, extremal_set(ps, method="perpoint").indices)
+        flags = [is_extreme(i, ps) for i in range(ps.n)]
+        np.testing.assert_array_equal(es.indices, np.flatnonzero(flags))
         return ok
 
     @pytest.mark.parametrize("J,n", [(3, 2000), (4, 2000), (5, 1000), (6, 600)])
@@ -269,12 +288,11 @@ class TestCertificate:
         for seed in range(2):
             assert self.check(PointSet(sample(SamplerSpec("uniform", J, 500 + seed), n))).any()
 
-    @pytest.mark.parametrize("gap", [2e-9, 1e-8, 5e-8])
+    @pytest.mark.parametrize("gap", [2e-9, 1e-8, 5e-8, 1.5e-7, 3e-7])
     def test_near_duplicate_vertex(self, gap):
-        # DEDUP_TOL < gap < EXTREME_TOL: both copies survive dedup, and no
-        # direction separates them by more than the gap, so where both are
-        # candidates the distance test decides.  Candidate-only confirmation can differ from
-        # "perpoint" here (a twin inside the hull is not a candidate).
+        # A twin closer than EXTREME_TOL is merged into the vertex; a farther
+        # one survives, and no direction separates the two by more than the
+        # gap, so where both are candidates the distance test decides.
         rng = np.random.default_rng(int(gap * 1e10))
         for J in (3, 4, 5):
             cloud = sample(SamplerSpec("uniform", J, 600 + J), 500)
@@ -283,16 +301,26 @@ class TestCertificate:
             step -= step.mean()  # stay in the simplex plane
             step *= gap / np.linalg.norm(step)
             ps = PointSet(np.vstack([cloud, cloud[vertex] + step]))
-            assert ps.n == 501
-            self.check(ps, perpoint=False)
+            assert ps.n == (500 if gap < EXTREME_TOL else 501)
+            self.check(ps)
+
+    def test_point_inside_near_obtuse_vertex(self):
+        # b = (2e-7, 1e-9) lies just inside the edge from the vertex a = (0, 0)
+        # and survives dedup.  The angle at a is obtuse, so a is 4e-8 from
+        # the segment from b to (-1, 0.2): not extreme, although its margin
+        # over the other candidates is about 0.1.
+        quad = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.5], [-1.0, 0.2]])
+        inner = np.random.default_rng(0).dirichlet(np.ones(4), size=30) @ quad
+        ok = self.check(PointSet(np.vstack([quad, inner, [[2e-7, 1e-9]]])))
+        assert not ok[0]
 
     def test_near_flat_clouds(self):
-        # anisotropy 1e-6; "perpoint" differs on some clouds
+        # anisotropy 1e-6: many candidates are left to the distance test
         rng = np.random.default_rng(8)
         for d in (3, 4):
             for _ in range(3):
                 flat = rng.random((300, d)) * np.r_[np.ones(d - 1), 1e-6]
-                self.check(PointSet(flat), perpoint=False)
+                self.check(PointSet(flat))
 
     def test_lattice(self):
         xs, ys = np.meshgrid(np.arange(5.0), np.arange(4.0))

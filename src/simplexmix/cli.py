@@ -1,8 +1,10 @@
 """Batch command-line front end: every experiment wired to files.
 
-Each subcommand validates flags, delegates to the library, writes CSV/JSON
-outputs and a run manifest (resolved config, seed, package version, sha256 of
-every output), so any run can be reproduced byte-for-byte from its manifest.
+Each subcommand validates flags, delegates to the library and writes CSV/JSON
+outputs.  ``main`` then writes a run manifest: every flag as the command
+resolved it (parsed grids, sampler JSON, default paths), the seed, the package
+version and the sha256 of every output, so any run can be reproduced
+byte-for-byte from its manifest.
 Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 
 CSV cells carry 17 significant digits; JSON floats use Python's shortest
@@ -97,31 +99,35 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(subcommand: str, args: argparse.Namespace, config: dict, outputs: list[str]) -> str:
-    path = args.manifest or os.path.join(_out_dir(), f"{subcommand}.manifest.json")
+def _default_path(subcommand: str, suffix: str = "") -> str:
+    """$SIMPLEXMIX_OUT_DIR/<subcommand><suffix>, the default of every output path."""
+    return os.path.join(_out_dir(), subcommand + suffix)
+
+
+def _write_manifest(subcommand: str, path: str | None, config: dict, outputs: list[str]) -> None:
     manifest = {
         "subcommand": subcommand,
         "config": _jsonable(config),
-        "seed": config.get("seed"),
+        "seed": config["seed"],
         "version": __version__,
         "outputs": {os.path.basename(p): _sha256(p) for p in outputs},
     }
-    _write_json(path, manifest)
-    return path
+    _write_json(path or _default_path(subcommand, ".manifest.json"), manifest)
+
+
+def _parse_list(text: str, kind, what: str, expected: str) -> tuple:
+    try:
+        return tuple(kind(tok) for tok in text.split(",") if tok.strip())
+    except ValueError:
+        raise ValueError(f"bad {what} {text!r}; expected comma-separated {expected}") from None
 
 
 def _parse_grid(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise ValueError(f"bad grid {text!r}; expected comma-separated integers") from None
+    return _parse_list(text, int, "grid", "integers")
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise ValueError(f"bad vector {text!r}; expected comma-separated numbers") from None
+    return _parse_list(text, float, "vector", "numbers")
 
 
 def _parse_sampler(text: str, j_dim: int, seed: int) -> SamplerSpec:
@@ -140,16 +146,28 @@ def _parse_sampler(text: str, j_dim: int, seed: int) -> SamplerSpec:
     raise ValueError(f"unknown sampler {text!r}; use 'uniform', 'dirichlet:...', or JSON")
 
 
-def _default_out(args: argparse.Namespace, name: str) -> str:
-    return args.out if args.out else os.path.join(_out_dir(), name)
+def _out_base(args: argparse.Namespace) -> str:
+    """Resolve ``--out`` to the output base path, recorded in the manifest."""
+    args.out = args.out or _default_path(args.subcommand)
+    return args.out
 
 
-def _cmd_growth(args) -> tuple[dict, list[str]]:
+def _write_optional_json(out: str | None, obj) -> list[str]:
+    """Write ``obj`` to ``out`` (``.json`` appended if missing) when ``out`` is set."""
+    if not out:
+        return []
+    path = out if out.endswith(".json") else out + ".json"
+    _write_json(path, obj)
+    return [path]
+
+
+def _cmd_growth(args) -> list[str]:
     grid = _parse_grid(args.n_grid)
     sampler = _parse_sampler(args.sampler, args.J, args.seed)
     cfg = ExperimentConfig(J=args.J, n_grid=grid, reps=args.reps, sampler=sampler, seed=args.seed)
     curve = growth_experiment(cfg, threads=args.threads)
-    base = _default_out(args, "growth")
+    args.n_grid, args.sampler = list(grid), json.loads(sampler.to_json())
+    base = _out_base(args)
     csv_path = base + ".csv"
     _write_csv(
         csv_path,
@@ -172,21 +190,12 @@ def _cmd_growth(args) -> tuple[dict, list[str]]:
     except ValueError as exc:
         fit_obj = {"fit": None, "reason": str(exc)}
     _write_json(fit_path, fit_obj)
-    config = {
-        "J": args.J,
-        "n_grid": list(grid),
-        "reps": args.reps,
-        "sampler": json.loads(sampler.to_json()),
-        "seed": args.seed,
-        "threads": args.threads,
-        "out": base,
-    }
-    return config, [csv_path, fit_path]
+    return [csv_path, fit_path]
 
 
-def _cmd_clt(args) -> tuple[dict, list[str]]:
+def _cmd_clt(args) -> list[str]:
     report = clt_experiment(args.J, args.n, args.reps, args.seed, threads=args.threads)
-    base = _default_out(args, "clt")
+    base = _out_base(args)
     csv_path = base + ".csv"
     _write_csv(csv_path, ["standardized_f0"], [(z,) for z in report.standardized])
     json_path = base + ".json"
@@ -200,16 +209,15 @@ def _cmd_clt(args) -> tuple[dict, list[str]]:
             "sd_f0": report.sd_f0,
         },
     )
-    config = {"J": args.J, "n": args.n, "reps": args.reps, "seed": args.seed, "threads": args.threads, "out": base}
-    return config, [csv_path, json_path]
+    return [csv_path, json_path]
 
 
-def _cmd_gamma(args) -> tuple[dict, list[str]]:
+def _cmd_gamma(args) -> list[str]:
     grid = _parse_grid(args.n_grid)
     sampler_g = _parse_sampler(args.sampler_g, args.J, args.seed)
     seq = gamma_experiment(args.J, grid, args.reps, sampler_g, args.seed, threads=args.threads)
-    base = _default_out(args, "gamma")
-    csv_path = base + ".csv"
+    args.n_grid, args.sampler_g = list(grid), json.loads(sampler_g.to_json())
+    csv_path = _out_base(args) + ".csv"
     _write_csv(
         csv_path,
         ["n", "gamma_n", "se", "mean_t", "se_t", "mean_m", "se_m"],
@@ -220,41 +228,24 @@ def _cmd_gamma(args) -> tuple[dict, list[str]]:
             )
         ],
     )
-    config = {
-        "J": args.J,
-        "n_grid": list(grid),
-        "reps": args.reps,
-        "sampler_g": json.loads(sampler_g.to_json()),
-        "seed": args.seed,
-        "threads": args.threads,
-        "out": base,
-    }
-    return config, [csv_path]
+    return [csv_path]
 
 
-def _cmd_hull_limit(args) -> tuple[dict, list[str]]:
+def _cmd_hull_limit(args) -> list[str]:
     grid = _parse_grid(args.n_grid)
     trace = hull_limit_experiment(args.J, grid, args.seed)
-    base = _default_out(args, "hull-limit")
-    csv_path = base + ".csv"
+    args.n_grid = list(grid)
+    csv_path = _out_base(args) + ".csv"
     _write_csv(csv_path, ["n", "hausdorff_to_simplex"], [(int(n), d) for n, d in trace])
-    config = {"J": args.J, "n_grid": list(grid), "seed": args.seed, "out": base}
-    return config, [csv_path]
+    return [csv_path]
 
 
-def _cmd_definetti(args) -> tuple[dict, list[str]]:
+def _cmd_definetti(args) -> list[str]:
     bound = definetti_bound(args.m, args.L)
     print(format(bound.beta, ".12g"))
-    outputs = []
-    if args.out:
-        json_path = args.out if args.out.endswith(".json") else args.out + ".json"
-        _write_json(
-            json_path,
-            {"m": bound.m, "L": bound.L, "beta": bound.beta, "pair_bound": bound.pair_bound},
-        )
-        outputs.append(json_path)
-    config = {"m": args.m, "L": args.L, "seed": None, "out": args.out}
-    return config, outputs
+    return _write_optional_json(
+        args.out, {"m": bound.m, "L": bound.L, "beta": bound.beta, "pair_bound": bound.pair_bound}
+    )
 
 
 def _read_vector(text: str) -> np.ndarray:
@@ -263,53 +254,40 @@ def _read_vector(text: str) -> np.ndarray:
     return np.asarray(_parse_floats(text))
 
 
-def _cmd_choquet(args) -> tuple[dict, list[str]]:
+def _cmd_choquet(args) -> list[str]:
     vertices = np.atleast_2d(np.loadtxt(args.frame, delimiter=",", dtype=np.float64))
     frame = make_frame(vertices)
     p = _read_vector(args.p)
     measure = choquet_measure(p, frame, solver=args.solver)
     recon = reconstruct(measure, frame)
     print(",".join(format(w, ".12g") for w in measure.weights))
-    outputs = []
-    if args.out:
-        json_path = args.out if args.out.endswith(".json") else args.out + ".json"
-        _write_json(
-            json_path,
-            {
-                "weights": measure.weights,
-                "reconstruction": recon,
-                "reconstruction_error": float(np.linalg.norm(recon - p / p.sum())),
-                "frame_cond": frame.cond,
-                "solver": args.solver,
-            },
-        )
-        outputs.append(json_path)
-    config = {"frame": args.frame, "p": args.p, "solver": args.solver, "seed": None, "out": args.out}
-    return config, outputs
+    if not args.out:  # the error term divides by p.sum(): compute it only for output
+        return []
+    return _write_optional_json(
+        args.out,
+        {
+            "weights": measure.weights,
+            "reconstruction": recon,
+            "reconstruction_error": float(np.linalg.norm(recon - p / p.sum())),
+            "frame_cond": frame.cond,
+            "solver": args.solver,
+        },
+    )
 
 
-def _cmd_polya(args) -> tuple[dict, list[str]]:
+def _cmd_polya(args) -> list[str]:
     weights = ChoquetMeasure(weights=np.asarray(_parse_floats(args.true_weights)))
     emb = AtomEmbedding.for_atoms(weights.m)
-    depth = args.depth if args.depth is not None else emb.depth
-    params = build_params(args.alpha, depth)
+    params = build_params(args.alpha, emb.depth)
     k_grid = _parse_grid(args.k_grid)
     trace = convergence_trace(weights, k_grid, params, emb, args.seed)
-    base = _default_out(args, "polya")
-    csv_path = base + ".csv"
+    args.true_weights, args.k_grid, args.depth = list(weights.weights), list(k_grid), emb.depth
+    csv_path = _out_base(args) + ".csv"
     _write_csv(csv_path, ["k", "sup_error", "minimax_rate"], trace)
-    config = {
-        "alpha": args.alpha,
-        "true_weights": list(weights.weights),
-        "k_grid": list(k_grid),
-        "depth": depth,
-        "seed": args.seed,
-        "out": base,
-    }
-    return config, [csv_path]
+    return [csv_path]
 
 
-def _cmd_fit_admixture(args) -> tuple[dict, list[str]]:
+def _cmd_fit_admixture(args) -> list[str]:
     x = load_docword(args.input)
     report = two_stage(
         x,
@@ -320,10 +298,9 @@ def _cmd_fit_admixture(args) -> tuple[dict, list[str]]:
         seed=args.seed,
         threads=args.threads,
     )
-    outputs = []
-    json_path = args.json_out or os.path.join(_out_dir(), "fit-admixture.json")
+    args.json_out = args.json_out or _default_path(args.subcommand, ".json")
     _write_json(
-        json_path,
+        args.json_out,
         {
             "l0": report.l0,
             "pca_dim": report.pca_dim,
@@ -350,26 +327,13 @@ def _cmd_fit_admixture(args) -> tuple[dict, list[str]]:
             "warnings": list(report.warnings),
         },
     )
-    outputs.append(json_path)
-    csv_dir = args.csv_dir or _out_dir()
-    phi_path = os.path.join(csv_dir, "phi.csv")
-    f_path = os.path.join(csv_dir, "f.csv")
-    os.makedirs(csv_dir, exist_ok=True)
+    args.csv_dir = args.csv_dir or _out_dir()
+    phi_path = os.path.join(args.csv_dir, "phi.csv")
+    f_path = os.path.join(args.csv_dir, "f.csv")
+    os.makedirs(args.csv_dir, exist_ok=True)
     _write_matrix(phi_path, report.model.phi)
     _write_matrix(f_path, report.model.f)
-    outputs.extend([phi_path, f_path])
-    config = {
-        "input": args.input,
-        "L0": args.L0,
-        "pca_dim": args.pca_dim,
-        "max_rounds": args.max_rounds,
-        "restarts": args.restarts,
-        "seed": args.seed,
-        "threads": args.threads,
-        "json_out": json_path,
-        "csv_dir": csv_dir,
-    }
-    return config, outputs
+    return [args.json_out, phi_path, f_path]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -435,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=1.0, help="smoothness exponent in (0, 1]")
     p.add_argument("--true-weights", required=True, help="comma-separated true atom weights")
     p.add_argument("--k-grid", default="100,1000,10000", help="sample sizes")
-    p.add_argument("--depth", type=int, default=None, help="tree depth (default: embedding depth)")
     common(p)
     p.set_defaults(func=_cmd_polya)
 
@@ -457,14 +420,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config, outputs = args.func(args)
+        outputs = args.func(args)
     except (ValueError, OSError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    _write_manifest(args.subcommand, args, config, outputs)
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "subcommand", "manifest")}
+    config.setdefault("seed", None)
+    _write_manifest(args.subcommand, args.manifest, config, outputs)
     return 0
 
 

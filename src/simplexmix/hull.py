@@ -223,15 +223,19 @@ def point_to_hull_distance(p, ps) -> float:
 
 def is_extreme(i: int, ps) -> bool:
     """True iff point ``i`` is farther than ``EXTREME_TOL`` from the hull of
-    the rest."""
+    the rest.
+
+    The test runs in affine coordinates, as ``method="perpoint"`` does: raw
+    rows on a flat (the simplex hyperplane) make the NNLS matrix
+    rank-deficient and the solve several times slower.
+    """
     pts = _as_points(ps)
     n = pts.shape[0]
     if not 0 <= i < n:
         raise IndexError(f"point index {i} out of range for {n} points")
     if n < 2:
         raise ValueError("need at least 2 distinct points")
-    others = np.delete(pts, i, axis=0)
-    return _hull_distance(pts[i], others) > EXTREME_TOL
+    return _perpoint_keep(_affine_coordinates(pts)[0], [i]).size == 1
 
 
 def _centered_svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:

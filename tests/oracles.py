@@ -36,6 +36,40 @@ def orientation_hull_vertices(points: np.ndarray, eps: float = 1e-12) -> np.ndar
     return np.asarray(sorted(vertices), dtype=np.int64)
 
 
+def monotone_chain_hull_vertices(points: np.ndarray, eps: float = 1e-12) -> np.ndarray:
+    """Vertices of a planar point cloud by Andrew's O(n log n) monotone chain.
+
+    The points are swept in (x, y) order to build the lower chain and in
+    reverse order to build the upper one; a chain drops its last point while
+    that point fails to make a left turn by more than ``eps`` (orientation
+    test only, no qhull).  Same general-position assumption as
+    ``orientation_hull_vertices``.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    n = pts.shape[0]
+    if pts.shape[1] != 2:
+        raise ValueError("planar oracle needs 2-D points")
+    if n < 3:
+        return np.arange(n)
+    xy = pts.tolist()
+
+    def cross(o, a, b):
+        (ox, oy), (ax, ay), (bx, by) = xy[o], xy[a], xy[b]
+        return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
+
+    def chain(order):
+        out = []
+        for k in order:
+            while len(out) >= 2 and cross(out[-2], out[-1], k) <= eps:
+                out.pop()
+            out.append(k)
+        return out
+
+    order = np.lexsort((pts[:, 1], pts[:, 0])).tolist()
+    vertices = set(chain(order)) | set(chain(order[::-1]))
+    return np.asarray(sorted(vertices), dtype=np.int64)
+
+
 def towers_by_dfs(j_vertices: int) -> int:
     """Count maximal face chains of a simplex by explicit depth-first search.
 

@@ -1,3 +1,4 @@
+import argparse
 import functools
 import importlib
 import importlib.util
@@ -12,7 +13,7 @@ from scipy.optimize import nnls
 
 from simplexmix import hull
 from simplexmix.admixture import synthetic_corpus
-from simplexmix.cli import _write_matrix, main
+from simplexmix.cli import _write_matrix, build_parser, main
 
 
 def read(path):
@@ -261,6 +262,66 @@ class TestFitAdmixtureCommand:
         run(argv)
         after = json.loads(read(manifest))["outputs"]
         assert before == after
+
+
+def subparser_dests() -> dict[str, set[str]]:
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {name: {a.dest for a in p._actions} - {"help"} for name, p in sub.choices.items()}
+
+
+class TestManifestConfig:
+    """The manifest records every flag, as the command resolved it."""
+
+    @pytest.fixture
+    def runs(self, tmp_path, monkeypatch):
+        """One run of each subcommand on default paths under
+        $SIMPLEXMIX_OUT_DIR; returns each manifest's config."""
+        monkeypatch.setenv("SIMPLEXMIX_OUT_DIR", str(tmp_path))
+        np.savetxt(tmp_path / "frame.csv", np.eye(3), delimiter=",")
+        x, _, _ = synthetic_corpus(2, 5, 60, 30, 0.9, seed=23)
+        write_docword(x, tmp_path / "docword.txt")
+        argvs = [
+            ["growth", "--J", "2", "--n-grid", "3,10", "--reps", "2", "--sampler", "dirichlet:2,3"],
+            ["clt", "--J", "3", "--n", "50", "--reps", "100"],
+            ["gamma", "--J", "3", "--n-grid", "10,20", "--reps", "5"],
+            ["hull-limit", "--J", "3", "--n-grid", "10,100"],
+            ["definetti", "--m", "5", "--L", "2"],
+            ["choquet", "--frame", str(tmp_path / "frame.csv"), "--p", "0.2,0.3,0.5"],
+            ["polya", "--true-weights", "0.5,0.3,0.2", "--k-grid", "100"],
+            ["fit-admixture", "--input", str(tmp_path / "docword.txt"), "--L0", "2", "--pca-dim", "2"],
+        ]
+        configs = {}
+        for argv in argvs:
+            run(argv)
+            configs[argv[0]] = json.loads(read(tmp_path / f"{argv[0]}.manifest.json"))["config"]
+        return configs
+
+    def test_keys_are_the_flags(self, runs):
+        dests = subparser_dests()
+        assert set(runs) == set(dests)
+        for name, config in runs.items():
+            resolved = {"depth"} if name == "polya" else set()
+            assert set(config) == dests[name] - {"manifest"} | {"seed"} | resolved, name
+
+    def test_resolved_values(self, runs, tmp_path):
+        growth = runs["growth"]
+        assert growth["n_grid"] == [3, 10]
+        assert growth["sampler"] == {"J": 2, "alpha": [2.0, 3.0], "kind": "dirichlet", "seed": 0}
+        assert growth["out"] == str(tmp_path / "growth")
+        assert runs["hull-limit"]["out"] == str(tmp_path / "hull-limit")
+        assert runs["definetti"]["seed"] is None and runs["definetti"]["out"] is None
+        polya = runs["polya"]
+        assert polya["depth"] == 2
+        assert polya["true_weights"] == [0.5, 0.3, 0.2] and polya["k_grid"] == [100]
+        fit = runs["fit-admixture"]
+        assert fit["json_out"] == str(tmp_path / "fit-admixture.json")
+        assert fit["csv_dir"] == str(tmp_path)
+
+    def test_polya_has_no_depth_flag(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["polya", "--true-weights", "0.5,0.5", "--depth", "3",
+                  "--manifest", str(tmp_path / "m.json")])
+        assert exc.value.code == 2
 
 
 class TestEnvDefaultDir:

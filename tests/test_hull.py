@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from oracles import dedup_by_pairs, hull_distance_by_faces, orientation_hull_vertices, towers_by_dfs
+from oracles import (
+    dedup_by_pairs,
+    hull_distance_by_faces,
+    monotone_chain_hull_vertices,
+    orientation_hull_vertices,
+    towers_by_dfs,
+)
 from simplexmix.hull import (
     EXTREME_TOL,
     PointSet,
@@ -171,7 +177,15 @@ class TestExtremalSet:
             n = int(rng.integers(4, 501))
             ps = PointSet(rng.random((n, 2)))
             np.testing.assert_array_equal(
-                extremal_set(ps).indices, orientation_hull_vertices(ps.points)
+                extremal_set(ps).indices, monotone_chain_hull_vertices(ps.points)
+            )
+
+    def test_planar_oracles_agree(self):
+        rng = np.random.default_rng(5)
+        for n in (4, 5, 30, 120, 200):
+            pts = rng.random((n, 2))
+            np.testing.assert_array_equal(
+                monotone_chain_hull_vertices(pts), orientation_hull_vertices(pts)
             )
 
     def test_auto_agrees_with_perpoint(self):

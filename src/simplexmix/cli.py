@@ -15,6 +15,7 @@ SIMPLEXMIX_OUT_DIR (default output directory).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -41,6 +42,10 @@ from .simplex import SamplerSpec
 __all__ = ["main"]
 
 _ENV_OUT_DIR = "SIMPLEXMIX_OUT_DIR"
+
+_OUT_HELP = "output base path (default $SIMPLEXMIX_OUT_DIR/<subcommand>)"
+# --out of the commands that print their result and write a file only on request.
+_OPTIONAL_JSON_HELP = "optional JSON report path ('.json' appended if missing); without it only the manifest is written"
 
 
 def _out_dir() -> str:
@@ -344,13 +349,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"simplexmix {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, seed=True, threads=False, out=True):
+    def common(p, seed=True, threads=False, out=_OUT_HELP):
+        """Add the shared flags; ``out`` is the help of ``--out``, or None for no ``--out``."""
         if seed:
             p.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
         if threads:
             p.add_argument("--threads", type=int, default=1, help="worker threads; results identical for any count")
         if out:
-            p.add_argument("--out", default=None, help="output base path (default $SIMPLEXMIX_OUT_DIR/<subcommand>)")
+            p.add_argument("--out", default=None, help=out)
         p.add_argument("--manifest", default=None, help="run manifest path (default <out-dir>/<subcommand>.manifest.json)")
 
     p = sub.add_parser("growth", help="hull extrema growth curve and (log n)^p fit")
@@ -385,14 +391,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("definetti", help="exchangeable-to-iid total-variation bound beta(m, L)")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--L", type=int, required=True)
-    common(p, seed=False)
+    common(p, seed=False, out=_OPTIONAL_JSON_HELP)
     p.set_defaults(func=_cmd_definetti)
 
     p = sub.add_parser("choquet", help="barycentric weights of a point over a frame")
     p.add_argument("--frame", required=True, help="CSV of frame vertices, one per row")
     p.add_argument("--p", required=True, help="point: comma-separated values or a CSV path")
     p.add_argument("--solver", choices=["direct", "nnls"], default="direct")
-    common(p, seed=False)
+    common(p, seed=False, out=_OPTIONAL_JSON_HELP)
     p.set_defaults(func=_cmd_choquet)
 
     p = sub.add_parser("polya", help="posterior weight-recovery trace for a finite atom set")
@@ -410,15 +416,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=5)
     p.add_argument("--json-out", default=None, help="pipeline report path")
     p.add_argument("--csv-dir", default=None, help="directory for phi.csv and f.csv")
-    common(p, threads=True, out=False)
+    common(p, threads=True, out=None)
     p.set_defaults(func=_cmd_fit_admixture)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built once per process: parsing leaves it
+    unchanged, and defaults that depend on the environment are resolved by
+    the commands at run time."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         outputs = args.func(args)
     except (ValueError, OSError, TypeError) as exc:

@@ -132,6 +132,18 @@ def dedup_by_pairs(points: np.ndarray, tol: float) -> np.ndarray:
     return pts[~drop]
 
 
+def facet_normal_sums(hull, n: int) -> np.ndarray:
+    """(n, r) sums of each point's incident facet normals by ``np.add.at``.
+
+    The unbuffered scatter-add visits ``hull.simplices`` in row-major order
+    and adds each facet's normal (``hull.equations`` without its offset) to
+    every vertex of the facet, starting from zeros.
+    """
+    normal_sum = np.zeros((n, hull.equations.shape[1] - 1))
+    np.add.at(normal_sum, hull.simplices, hull.equations[:, None, :-1])
+    return normal_sum
+
+
 def em_reference(x, l_comp: int, max_iters: int, seed: int, restart: int, rel_tol: float, smoothing: float):
     """One restart of admixture EM by explicit responsibilities, iterate by iterate.
 

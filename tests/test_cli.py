@@ -330,6 +330,51 @@ class TestEnvDefaultDir:
         run(["definetti", "--m", "4", "--L", "2"])
         assert os.path.exists(tmp_path / "definetti.manifest.json")
 
+    def test_runs_in_one_process_share_no_state(self, tmp_path, monkeypatch):
+        # main parses with one parser per process: each run still resolves
+        # its default paths from the environment it runs in
+        first, second = tmp_path / "first", tmp_path / "second"
+        monkeypatch.setenv("SIMPLEXMIX_OUT_DIR", str(first))
+        run(["hull-limit", "--J", "3", "--n-grid", "10,100"])
+        with pytest.raises(SystemExit) as exc:
+            main(["clt", "--J", "3", "--n", "50", "--no-such-flag"])
+        assert exc.value.code == 2
+        monkeypatch.setenv("SIMPLEXMIX_OUT_DIR", str(second))
+        run(["clt", "--J", "3", "--n", "50", "--reps", "100"])
+        assert sorted(os.listdir(first)) == ["hull-limit.csv", "hull-limit.manifest.json"]
+        assert sorted(os.listdir(second)) == ["clt.csv", "clt.json", "clt.manifest.json"]
+        config = json.loads(read(second / "clt.manifest.json"))["config"]
+        assert config["out"] == str(second / "clt") and "n_grid" not in config
+
+
+class TestOptionalJsonOut:
+    """definetti and choquet print their result and write a JSON report
+    only when --out is given."""
+
+    def test_help_says_the_report_is_optional(self):
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        for name in ("definetti", "choquet"):
+            (out,) = [a for a in sub.choices[name]._actions if a.dest == "out"]
+            assert "optional" in out.help and "SIMPLEXMIX_OUT_DIR" not in out.help, name
+        (out,) = [a for a in sub.choices["growth"]._actions if a.dest == "out"]
+        assert "$SIMPLEXMIX_OUT_DIR/<subcommand>" in out.help
+
+    @pytest.mark.parametrize("name", ["definetti", "choquet"])
+    def test_no_file_without_out(self, name, tmp_path, monkeypatch):
+        frame = tmp_path / "frame" / "frame.csv"
+        frame.parent.mkdir()
+        np.savetxt(frame, np.eye(3), delimiter=",")
+        out_dir = tmp_path / "out"
+        monkeypatch.setenv("SIMPLEXMIX_OUT_DIR", str(out_dir))
+        argv = {
+            "definetti": ["definetti", "--m", "5", "--L", "2"],
+            "choquet": ["choquet", "--frame", str(frame), "--p", "0.2,0.3,0.5"],
+        }[name]
+        run(argv)
+        assert os.listdir(out_dir) == [f"{name}.manifest.json"]
+        manifest = json.loads(read(out_dir / f"{name}.manifest.json"))
+        assert manifest["config"]["out"] is None and manifest["outputs"] == {}
+
 
 class TestBenchmarkTracerSites:
     """The benchmark's tracer wraps package attributes by name, outside any

@@ -6,6 +6,7 @@ from scipy.spatial import ConvexHull
 
 from oracles import (
     dedup_by_pairs,
+    facet_normal_sums,
     hull_distance_by_faces,
     monotone_chain_hull_vertices,
     orientation_hull_vertices,
@@ -16,6 +17,7 @@ from simplexmix.hull import (
     PointSet,
     _affine_coordinates,
     _certified,
+    _normal_sums,
     c_constant,
     count_towers,
     extremal_set,
@@ -70,6 +72,81 @@ class TestPointSet:
             np.testing.assert_array_equal(kept, dedup_by_pairs(cloud, EXTREME_TOL))
             if gap < 1.0:
                 assert kept.shape[0] < 430
+
+    @staticmethod
+    def sorted_gaps(cloud):
+        """Adjacent gaps of the rows' sorted projections, and the window
+        within which ``_dedup`` pairs them (its direction and width)."""
+        n, d = cloud.shape
+        w = np.cos(np.arange(1.0, d + 1.0))
+        w /= np.linalg.norm(w)
+        width = 2.0 * EXTREME_TOL + 4.0 * d * d * np.finfo(np.float64).eps * np.abs(cloud).max()
+        return np.diff(np.sort(cloud @ w)), width, w
+
+    @staticmethod
+    def assert_pair_rule(cloud):
+        kept = PointSet(cloud).points
+        np.testing.assert_array_equal(kept, dedup_by_pairs(cloud, EXTREME_TOL))
+        return kept
+
+    def test_one_and_two_rows(self):
+        for cloud in ([[0.3, 0.7]], [[0.3, 0.7], [0.3, 0.7]], [[0.3, 0.7], [0.3, 0.7 + 5e-8]],
+                      [[0.3, 0.7], [0.3, 0.7 + 5e-7]], [[0.3, 0.7], [0.9, 0.1]]):
+            self.assert_pair_rule(np.asarray(cloud))
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_smallest_gap_at_the_window(self, d):
+        # a row moved off another by just over or just under the window along
+        # the projection direction, plus a step normal to it: no pair lies
+        # within the tolerance either way, so every row is kept
+        rng = np.random.default_rng(d)
+        base = rng.random((50, d))
+        _, width, w = self.sorted_gaps(base)
+        side = rng.standard_normal(d)
+        side -= (side @ w) * w
+        side *= 0.5 * EXTREME_TOL / np.linalg.norm(side)
+        for factor, near in ((1.001, False), (0.999, True)):
+            cloud = np.vstack([base, base[7] + factor * width * w + side])
+            gaps, width_now, _ = self.sorted_gaps(cloud)
+            assert (gaps.min() <= width_now) == near
+            assert self.assert_pair_rule(cloud).shape[0] == 51
+
+    @pytest.mark.parametrize("twins", [False, True])
+    def test_exact_copies(self, twins):
+        # copies alone, and copies among twins at 0.5 * tol, some of them
+        # twins of copied rows
+        rng = np.random.default_rng(11 + twins)
+        base = rng.random((200, 3))
+        parts = [base, base[[3, 3, 17, 50]]]
+        if twins:
+            step = rng.standard_normal((6, 3))
+            step *= 0.5 * EXTREME_TOL / np.linalg.norm(step, axis=1, keepdims=True)
+            parts.append(base[[3, 17, 90, 91, 92, 93]] + step)
+        cloud = np.vstack(parts)[rng.permutation(sum(len(p) for p in parts))]
+        assert self.assert_pair_rule(cloud).shape[0] == 200
+
+    def test_near_gaps_in_a_large_cloud(self):
+        # at J=5, n=1e4 a uniform cloud has near gaps but, a.s., no pair
+        # within the tolerance; one twin added at 0.5 * tol goes
+        cloud = sample(SamplerSpec("uniform", 5, 9), 10_000)
+        gaps, width, _ = self.sorted_gaps(cloud)
+        assert (gaps <= width).sum() >= 1
+        step = np.array([1.0, -1.0, 0.0, 0.0, 0.0]) * 0.5 * EXTREME_TOL / np.sqrt(2.0)
+        assert self.assert_pair_rule(np.vstack([cloud, cloud[123] + step])).shape[0] == 10_000
+
+    def test_input_not_aliased(self):
+        x = np.random.default_rng(2).random((20, 3))
+        ps = PointSet(x)
+        assert x.flags.writeable and not np.shares_memory(x, ps.points)
+        x[0, 0] = 5.0
+        assert ps.points[0, 0] != 5.0
+
+    def test_fortran_order_input(self):
+        x = np.asfortranarray(np.random.default_rng(3).random((30, 4)))
+        for cloud in (x, np.asfortranarray(np.vstack([x, x[:2]]))):
+            points = PointSet(cloud).points
+            assert points.flags.c_contiguous
+            assert points.tobytes() == dedup_by_pairs(cloud, EXTREME_TOL).tobytes()
 
     def test_point_mass_cloud(self):
         # 1e4 draws from three atoms: the exact copies go without a pair visit
@@ -279,10 +356,14 @@ class TestExtremalSet:
 
 class TestCertificate:
     """Certificate-first extremal_set against the pure per-point distance
-    route and ``is_extreme`` on every row, and each certified candidate
-    against its NNLS distance to the hull of all other rows."""
+    route and ``is_extreme``, and each certified candidate against its NNLS
+    distance to the hull of all other rows."""
 
-    def check(self, ps):
+    def check(self, ps, every_row=True):
+        """``is_extreme`` runs on every row, or with ``every_row=False`` on
+        the qhull candidates only: it is the per-point route's test on one
+        row, which the comparison with ``method="perpoint"`` already makes
+        on every row."""
         z, _ = _affine_coordinates(ps.points)
         hull = ConvexHull(z)
         cand = np.sort(hull.vertices)
@@ -293,14 +374,16 @@ class TestCertificate:
         assert all(d > EXTREME_TOL for d in dist)
         es = extremal_set(ps)
         np.testing.assert_array_equal(es.indices, extremal_set(ps, method="perpoint").indices)
-        flags = [is_extreme(i, ps) for i in range(ps.n)]
-        np.testing.assert_array_equal(es.indices, np.flatnonzero(flags))
+        rows = np.arange(ps.n) if every_row else cand
+        flags = [is_extreme(i, ps) for i in rows]
+        np.testing.assert_array_equal(es.indices, rows[flags])
         return ok
 
     @pytest.mark.parametrize("J,n", [(3, 2000), (4, 2000), (5, 1000), (6, 600)])
     def test_uniform_clouds(self, J, n):
         for seed in range(2):
-            assert self.check(PointSet(sample(SamplerSpec("uniform", J, 500 + seed), n))).any()
+            ps = PointSet(sample(SamplerSpec("uniform", J, 500 + seed), n))
+            assert self.check(ps, every_row=n < 1000).any()
 
     @pytest.mark.parametrize("gap", [2e-9, 1e-8, 5e-8, 1.5e-7, 3e-7])
     def test_near_duplicate_vertex(self, gap):
@@ -339,6 +422,17 @@ class TestCertificate:
     def test_lattice(self):
         xs, ys = np.meshgrid(np.arange(5.0), np.arange(4.0))
         assert self.check(PointSet(np.column_stack([xs.ravel(), ys.ravel()]))).all()
+
+    def test_normal_sums_match_scatter_add(self):
+        rng = np.random.default_rng(8)
+        clouds = [sample(SamplerSpec("uniform", J, 40 + J), 500) for J in (3, 4, 5, 6)]
+        clouds += [rng.random((300, d)) * np.r_[np.ones(d - 1), 1e-6] for d in (3, 4) for _ in range(3)]
+        for cloud in clouds:
+            z, _ = _affine_coordinates(PointSet(cloud).points)
+            hull = ConvexHull(z)
+            cand = np.sort(hull.vertices)
+            sums = _normal_sums(hull, cand)
+            assert sums.tobytes() == facet_normal_sums(hull, z.shape[0])[cand].tobytes()
 
 
 class TestHausdorff:

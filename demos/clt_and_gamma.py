@@ -22,8 +22,7 @@ print(f"skewed control:              ks = {ks_distance(control):.4f}")
 
 # Ratio of mean extrema counts: Dirichlet(2,2,2) clouds vs uniform clouds.
 seq = gamma_experiment(
-    J=3, n_grid=(100, 1000, 10000), reps=100,
-    sampler_g=SamplerSpec("dirichlet", 3, 0, alpha=(2.0, 2.0, 2.0)), seed=0,
+    n_grid=(100, 1000, 10000), reps=100, sampler_g=SamplerSpec("dirichlet", 3, 0, alpha=(2.0, 2.0, 2.0))
 )
 print("\n  n      gamma_n   se")
 for n, g, s in zip(seq.n, seq.gamma_n, seq.se):

@@ -9,14 +9,7 @@ benchmark rate (log k / k)^(alpha / (2 alpha + 1)).
 
 import numpy as np
 
-from simplexmix import (
-    AtomEmbedding,
-    build_params,
-    choquet_measure,
-    convergence_trace,
-    make_frame,
-    reconstruct,
-)
+from simplexmix import choquet_measure, convergence_trace, make_frame, reconstruct
 from simplexmix.choquet import ChoquetMeasure
 
 # Direct route: solve the affine system over a random frame.
@@ -31,8 +24,6 @@ print("recovered weights:", np.round(measure.weights, 10))
 print("reconstruction gap:", np.linalg.norm(reconstruct(measure, frame) - point))
 
 # Sampling route: observe atoms drawn with the true weights, update the tree.
-emb = AtomEmbedding.for_atoms(3)
-params = build_params(alpha=1.0, depth=emb.depth)
 print("\n  k        sup-norm error   benchmark rate")
-for k, err, rate in convergence_trace(ChoquetMeasure(weights=truth), (100, 1000, 10000, 100000), params, emb, seed=1):
+for k, err, rate in convergence_trace(ChoquetMeasure(weights=truth), (100, 1000, 10000, 100000), alpha=1.0, seed=1):
     print(f"  {k:>7d}  {err:14.5f}   {rate:.5f}")

@@ -6,8 +6,9 @@ standardized extrema counts, ratio sequences comparing a generic sampler to
 the uniform one, nested-hull Hausdorff convergence to the full simplex, and
 the exchangeable-to-iid total-variation bound.
 
-Every experiment derives per-replicate streams from a base seed through a
-splittable seed tree, so results are independent of worker scheduling.
+Every experiment derives one stream per cloud from a root seed through a
+splittable seed tree (each experiment's docstring gives its keys), so results
+are independent of worker scheduling.
 """
 
 from __future__ import annotations
@@ -46,28 +47,26 @@ DEFAULT_N_GRID = (100, 316, 1000, 3162, 10000)
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Grid of sample sizes, replicate count, sampler and base seed."""
+    """Grid of sample sizes, replicate count and sampler.
 
-    J: int
+    The sampler's J is the simplex dimension and its seed the root of the
+    seed tree.
+    """
+
     n_grid: tuple[int, ...]
     reps: int
     sampler: SamplerSpec
-    seed: int
 
     def __post_init__(self):
-        if self.J < 2:
-            raise ValueError(f"J must be >= 2, got {self.J}")
         grid = tuple(int(n) for n in self.n_grid)
         if len(grid) < 1:
             raise ValueError("n_grid must be nonempty")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError(f"n_grid must be strictly increasing, got {grid}")
-        if grid[0] < self.J + 1:
-            raise ValueError(f"min(n_grid) must be >= J+1 = {self.J + 1}, got {grid[0]}")
+        if grid[0] < self.sampler.J + 1:
+            raise ValueError(f"min(n_grid) must be >= J+1 = {self.sampler.J + 1}, got {grid[0]}")
         if self.reps < 1:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
-        if self.sampler.J != self.J:
-            raise ValueError(f"sampler dimension {self.sampler.J} != J = {self.J}")
         object.__setattr__(self, "n_grid", grid)
 
 
@@ -131,29 +130,27 @@ class ExchangeabilityBound:
         return self.L * (self.L - 1) / (2.0 * self.m)
 
 
-def _f0_of_cloud(spec: SamplerSpec, n: int) -> int:
-    return extremal_set(PointSet(sample(spec, n))).f0
+def _f0_counts(spec: SamplerSpec, clouds, threads: int) -> np.ndarray:
+    """Extrema count of each ``(n, key)`` cloud: n points drawn from ``spec``
+    at seed ``child_seed(spec.seed, *key)``, in the order of ``clouds``."""
+
+    def f0(cloud):
+        n, seed = cloud
+        return extremal_set(PointSet(sample(dataclasses.replace(spec, seed=seed), n))).f0
+
+    seeded = [(n, child_seed(spec.seed, *key)) for n, key in clouds]
+    return np.asarray(_map_indexed(f0, seeded, threads), dtype=np.float64)
 
 
 def growth_experiment(cfg: ExperimentConfig, threads: int = 1) -> GrowthCurve:
     """Estimate mean and variance of the hull extrema count over cfg.n_grid.
 
-    Replicate (g, r) draws its cloud from a child stream of cfg.seed keyed by
-    the grid index and replicate index, so the output is identical for any
-    thread count.
+    Cloud (g, r), grid index g and replicate r, draws at
+    ``child_seed(cfg.sampler.seed, g, r)``, so the output is identical for
+    any thread count.
     """
-    tasks = [
-        (g, r, cfg.n_grid[g], child_seed(cfg.seed, g, r))
-        for g in range(len(cfg.n_grid))
-        for r in range(cfg.reps)
-    ]
-
-    def run(task):
-        g, r, n, seed = task
-        return _f0_of_cloud(dataclasses.replace(cfg.sampler, seed=seed), n)
-
-    values = np.asarray(_map_indexed(run, tasks, threads), dtype=np.float64)
-    f0 = values.reshape(len(cfg.n_grid), cfg.reps)
+    clouds = [(n, (g, r)) for g, n in enumerate(cfg.n_grid) for r in range(cfg.reps)]
+    f0 = _f0_counts(cfg.sampler, clouds, threads).reshape(len(cfg.n_grid), cfg.reps)
     mean = f0.mean(axis=1)
     var = f0.var(axis=1, ddof=1) if cfg.reps > 1 else np.zeros(len(cfg.n_grid))
     return GrowthCurve(
@@ -220,18 +217,13 @@ def ks_distance(sample_values, cdf=normal_cdf) -> float:
 def clt_experiment(J: int, n: int, reps: int, seed: int, threads: int = 1) -> CLTReport:
     """Standardize reps extrema counts at sample size n; KS against normal.
 
-    Uniform simplex sampling; raises on zero sample variance (the J=2
-    segment is degenerate: the count is always 2).
+    Uniform simplex sampling, cloud r at ``child_seed(seed, r)``; raises on
+    zero sample variance (the J=2 segment is degenerate: the count is
+    always 2).
     """
     if reps < 100:
         raise ValueError(f"reps must be >= 100, got {reps}")
-    base = SamplerSpec("uniform", J, seed)
-    tasks = [child_seed(seed, r) for r in range(reps)]
-
-    def run(s):
-        return _f0_of_cloud(dataclasses.replace(base, seed=s), n)
-
-    f0 = np.asarray(_map_indexed(run, tasks, threads), dtype=np.float64)
+    f0 = _f0_counts(SamplerSpec("uniform", J, seed), [(n, (r,)) for r in range(reps)], threads)
     mean = float(f0.mean())
     sd = float(f0.std(ddof=1))
     if sd == 0.0:
@@ -247,28 +239,23 @@ def clt_experiment(J: int, n: int, reps: int, seed: int, threads: int = 1) -> CL
     )
 
 
-def gamma_experiment(
-    J: int,
-    n_grid,
-    reps: int,
-    sampler_g: SamplerSpec,
-    seed: int,
-    threads: int = 1,
-) -> GammaSequence:
+def gamma_experiment(n_grid, reps: int, sampler_g: SamplerSpec, threads: int = 1) -> GammaSequence:
     """Ratio of mean extrema counts under sampler_g versus the uniform law.
 
-    The two arms use disjoint substreams of the base seed (a shared stream
-    would make the uniform-vs-uniform ratio trivially 1).  Standard errors
-    for the ratio come from the delta method on the two arm means.
+    Both arms take J from sampler_g, and arm a (0 uniform, 1 sampler_g) runs
+    the growth experiment rooted at ``child_seed(sampler_g.seed, a)``: a
+    shared stream would make the uniform-vs-uniform ratio trivially 1.
+    Standard errors for the ratio come from the delta method on the two arm
+    means.
     """
-    if sampler_g.J != J:
-        raise ValueError(f"sampler_g dimension {sampler_g.J} != J = {J}")
-    uniform = SamplerSpec("uniform", J, seed)
-    arms = []
-    for arm, spec in ((0, uniform), (1, sampler_g)):
-        cfg = ExperimentConfig(J=J, n_grid=tuple(n_grid), reps=reps, sampler=spec, seed=child_seed(seed, arm))
-        arms.append(growth_experiment(cfg, threads=threads))
-    m_curve, t_curve = arms
+    seed = sampler_g.seed
+    m_curve, t_curve = (
+        growth_experiment(
+            ExperimentConfig(tuple(n_grid), reps, dataclasses.replace(spec, seed=child_seed(seed, arm))),
+            threads=threads,
+        )
+        for arm, spec in enumerate((SamplerSpec("uniform", sampler_g.J, seed), sampler_g))
+    )
     gamma = t_curve.mean_f0 / m_curve.mean_f0
     rel = np.sqrt(
         (t_curve.stderr / t_curve.mean_f0) ** 2 + (m_curve.stderr / m_curve.mean_f0) ** 2
@@ -293,6 +280,8 @@ def hull_limit_experiment(J: int, n_grid, seed: int) -> list[tuple[int, float]]:
     evaluations are needed per grid point.
     """
     grid = [int(n) for n in n_grid]
+    if not grid:
+        raise ValueError("n_grid must be nonempty")
     if any(b <= a for a, b in zip(grid, grid[1:])) or grid[0] < 1:
         raise ValueError(f"n_grid must be strictly increasing and positive, got {grid}")
     cloud = sample(SamplerSpec("uniform", J, seed), grid[-1])

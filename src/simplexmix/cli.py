@@ -15,6 +15,7 @@ SIMPLEXMIX_OUT_DIR (default output directory).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -36,7 +37,7 @@ from .asymptotics import (
     hull_limit_experiment,
 )
 from .choquet import ChoquetMeasure, choquet_measure, make_frame, reconstruct
-from .polya import AtomEmbedding, build_params, convergence_trace
+from .polya import AtomEmbedding, convergence_trace
 from .simplex import SamplerSpec
 
 __all__ = ["main"]
@@ -136,13 +137,14 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 
 
 def _parse_sampler(text: str, j_dim: int, seed: int) -> SamplerSpec:
-    """Accept 'uniform', 'dirichlet:a1,a2,...', or a full SamplerSpec JSON object."""
+    """Accept 'uniform', 'dirichlet:a1,a2,...', or a full SamplerSpec JSON
+    object; the spec always carries ``seed``, in place of a JSON seed."""
     text = text.strip()
     if text.startswith("{"):
         spec = SamplerSpec.from_json(text)
         if spec.J != j_dim:
             raise ValueError(f"sampler JSON has J={spec.J}, expected {j_dim}")
-        return spec
+        return dataclasses.replace(spec, seed=seed)
     if text == "uniform":
         return SamplerSpec("uniform", j_dim, seed)
     if text.startswith("dirichlet:"):
@@ -169,7 +171,7 @@ def _write_optional_json(out: str | None, obj) -> list[str]:
 def _cmd_growth(args) -> list[str]:
     grid = _parse_grid(args.n_grid)
     sampler = _parse_sampler(args.sampler, args.J, args.seed)
-    cfg = ExperimentConfig(J=args.J, n_grid=grid, reps=args.reps, sampler=sampler, seed=args.seed)
+    cfg = ExperimentConfig(n_grid=grid, reps=args.reps, sampler=sampler)
     curve = growth_experiment(cfg, threads=args.threads)
     args.n_grid, args.sampler = list(grid), json.loads(sampler.to_json())
     base = _out_base(args)
@@ -220,7 +222,7 @@ def _cmd_clt(args) -> list[str]:
 def _cmd_gamma(args) -> list[str]:
     grid = _parse_grid(args.n_grid)
     sampler_g = _parse_sampler(args.sampler_g, args.J, args.seed)
-    seq = gamma_experiment(args.J, grid, args.reps, sampler_g, args.seed, threads=args.threads)
+    seq = gamma_experiment(grid, args.reps, sampler_g, threads=args.threads)
     args.n_grid, args.sampler_g = list(grid), json.loads(sampler_g.to_json())
     csv_path = _out_base(args) + ".csv"
     _write_csv(
@@ -282,11 +284,10 @@ def _cmd_choquet(args) -> list[str]:
 
 def _cmd_polya(args) -> list[str]:
     weights = ChoquetMeasure(weights=np.asarray(_parse_floats(args.true_weights)))
-    emb = AtomEmbedding.for_atoms(weights.m)
-    params = build_params(args.alpha, emb.depth)
     k_grid = _parse_grid(args.k_grid)
-    trace = convergence_trace(weights, k_grid, params, emb, args.seed)
-    args.true_weights, args.k_grid, args.depth = list(weights.weights), list(k_grid), emb.depth
+    trace = convergence_trace(weights, k_grid, args.alpha, args.seed)
+    args.true_weights, args.k_grid = list(weights.weights), list(k_grid)
+    args.depth = AtomEmbedding.for_atoms(weights.m).depth
     csv_path = _out_base(args) + ".csv"
     _write_csv(csv_path, ["k", "sup_error", "minimax_rate"], trace)
     return [csv_path]
@@ -363,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--J", type=int, required=True, help="simplex dimension (>= 2)")
     p.add_argument("--n-grid", default=",".join(map(str, DEFAULT_N_GRID)), help="comma-separated sample sizes")
     p.add_argument("--reps", type=int, default=100, help="replicates per grid point")
-    p.add_argument("--sampler", default="uniform", help="'uniform', 'dirichlet:a1,...', or SamplerSpec JSON")
+    p.add_argument("--sampler", default="uniform", help="'uniform', 'dirichlet:a1,...', or SamplerSpec JSON; --seed replaces its seed")
     common(p, threads=True)
     p.set_defaults(func=_cmd_growth)
 
@@ -378,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--J", type=int, required=True)
     p.add_argument("--n-grid", default=",".join(map(str, DEFAULT_N_GRID)))
     p.add_argument("--reps", type=int, default=100)
-    p.add_argument("--sampler-g", default="uniform", help="generic-arm sampler")
+    p.add_argument("--sampler-g", default="uniform", help="generic-arm sampler, in the forms of growth --sampler")
     common(p, threads=True)
     p.set_defaults(func=_cmd_gamma)
 

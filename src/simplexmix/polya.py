@@ -81,10 +81,6 @@ class AtomEmbedding:
     def for_atoms(cls, n_atoms: int) -> "AtomEmbedding":
         return cls(n_atoms=n_atoms, depth=max(1, math.ceil(math.log2(n_atoms))))
 
-    @property
-    def n_cells(self) -> int:
-        return 2**self.depth
-
     def cells(self, atom_ids) -> np.ndarray:
         """Cell index (left-to-right at depth D) for each atom id."""
         ids = np.asarray(atom_ids, dtype=np.int64)
@@ -139,11 +135,11 @@ class PolyaTreePosterior:
         return cls(params=params, emb=emb, counts=counts, k=int(obj["k"]))
 
 
-def prior_posterior(alpha: float, n_atoms: int, depth: int | None = None) -> PolyaTreePosterior:
-    """Convenience constructor: prior state for M atoms at Holder exponent alpha."""
+def prior_posterior(alpha: float, n_atoms: int) -> PolyaTreePosterior:
+    """Prior state for M atoms at Holder exponent alpha, with parameters for
+    the levels of the embedding."""
     emb = AtomEmbedding.for_atoms(n_atoms)
-    params = build_params(alpha, depth if depth is not None else emb.depth)
-    return PolyaTreePosterior.prior(params, emb)
+    return PolyaTreePosterior.prior(build_params(alpha, emb.depth), emb)
 
 
 def posterior_update(post: PolyaTreePosterior, atoms) -> PolyaTreePosterior:
@@ -200,31 +196,27 @@ def minimax_rate(k: int, alpha: float) -> float:
     return (math.log(k) / k) ** (alpha / (2.0 * alpha + 1.0))
 
 
-def convergence_trace(
-    true_weights: ChoquetMeasure,
-    k_grid,
-    params: PolyaTreeParams,
-    emb: AtomEmbedding,
-    seed: int,
-) -> list[tuple[int, float, float]]:
+def convergence_trace(true_weights: ChoquetMeasure, k_grid, alpha: float, seed: int) -> list[tuple[int, float, float]]:
     """(k, sup-norm weight error, minimax benchmark) along a sample-size grid.
 
-    One atom stream of max(k_grid) iid draws from the true weights; each k
-    updates the prior with the stream prefix, so traces are nested in data.
+    The prior is ``prior_posterior(alpha, M)`` for the M true atoms.  One
+    atom stream of max(k_grid) iid draws from the true weights, at seed
+    ``child_seed(seed)``; each k updates the prior with the stream prefix, so
+    traces are nested in data.
     """
     grid = [int(k) for k in k_grid]
+    if not grid:
+        raise ValueError("k_grid must be nonempty")
     if any(k < 2 for k in grid):
         raise ValueError("every k in k_grid must be >= 2")
     w = true_weights.weights
-    if w.size != emb.n_atoms:
-        raise ValueError(f"true weights have {w.size} atoms, embedding expects {emb.n_atoms}")
+    prior = prior_posterior(alpha, w.size)
     rng = np.random.default_rng(child_seed(seed))
-    stream = rng.choice(emb.n_atoms, size=max(grid), p=w)
-    prior = PolyaTreePosterior.prior(params, emb)
+    stream = rng.choice(w.size, size=max(grid), p=w)
     out = []
     for k in grid:
         post = posterior_update(prior, stream[:k])
         est = weight_estimate(post).weights
         err = float(np.max(np.abs(est - w)))
-        out.append((k, err, minimax_rate(k, params.alpha)))
+        out.append((k, err, minimax_rate(k, prior.params.alpha)))
     return out

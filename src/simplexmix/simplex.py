@@ -18,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "NEGATIVE_TOL",
-    "SUM_TOL",
     "SamplerSpec",
     "validate",
     "sample",
@@ -28,9 +27,6 @@ __all__ = [
 
 # Coordinates below -NEGATIVE_TOL are rejected; tiny negatives are clipped.
 NEGATIVE_TOL = 1e-12
-# Vectors are renormalized on construction; sums within SUM_TOL of 1 are
-# considered already normalized for reporting purposes.
-SUM_TOL = 1e-9
 
 _KIND_ALIASES = {
     "uniform": "uniform",

@@ -28,8 +28,6 @@ from simplexmix.choquet import choquet_measure, make_frame, reconstruct
 from simplexmix.cli import main
 from simplexmix.hull import c_constant, count_towers
 from simplexmix.polya import (
-    AtomEmbedding,
-    build_params,
     convergence_trace,
     minimax_rate,
     posterior_update,
@@ -78,10 +76,7 @@ def test_criterion_02_triangle_growth():
         start = time.monotonic()
         fits = {}
         for seed in (101, 202):
-            cfg = ExperimentConfig(
-                J=3, n_grid=GROWTH_GRID, reps=500,
-                sampler=SamplerSpec("uniform", 3, seed), seed=seed,
-            )
+            cfg = ExperimentConfig(n_grid=GROWTH_GRID, reps=500, sampler=SamplerSpec("uniform", 3, seed))
             curve = growth_experiment(cfg)
             assert np.all(np.diff(curve.mean_f0) > 0), "means not strictly increasing"
             fits[seed] = fit_growth(curve)
@@ -126,13 +121,11 @@ def test_criterion_04_clt_diagnostics():
 
 def test_criterion_05_gamma_sequences():
     with criterion(5, "gamma_n: uniform ratio within 3 SE of 1; Dirichlet ratios > 0.05"):
-        uu = gamma_experiment(3, GROWTH_GRID, 200, SamplerSpec("uniform", 3, 5), seed=5)
+        uu = gamma_experiment(GROWTH_GRID, 200, SamplerSpec("uniform", 3, 5))
         assert np.all(np.abs(uu.gamma_n - 1.0) <= 3.0 * uu.se), (
             f"uniform-vs-uniform z = {np.abs(uu.gamma_n - 1.0) / uu.se}"
         )
-        dd = gamma_experiment(
-            3, GROWTH_GRID, 200, SamplerSpec("dirichlet", 3, 5, alpha=(2.0, 2.0, 2.0)), seed=5
-        )
+        dd = gamma_experiment(GROWTH_GRID, 200, SamplerSpec("dirichlet", 3, 5, alpha=(2.0, 2.0, 2.0)))
         assert np.all(dd.gamma_n > 0.05), f"gamma_n = {dd.gamma_n}"
 
 
@@ -175,11 +168,9 @@ def test_criterion_08_polya_tree():
         post = posterior_update(prior_posterior(1.0, 2), [0, 0, 0, 1])
         assert weight_estimate(post).weights[0] == 0.55
         truth = ChoquetMeasure(weights=np.array([0.7, 0.3]))
-        emb = AtomEmbedding.for_atoms(2)
-        params = build_params(1.0, 1)
         hits = 0
         for seed in range(100):
-            trace = convergence_trace(truth, (10_000,), params, emb, seed=seed)
+            trace = convergence_trace(truth, (10_000,), 1.0, seed=seed)
             if trace[0][1] < 0.02:
                 hits += 1
         print(f"    sup-norm error < 0.02 at k=1e4 for {hits}/100 seeds")

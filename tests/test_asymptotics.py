@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -14,17 +16,12 @@ from simplexmix.asymptotics import (
     normal_cdf,
     GrowthCurve,
 )
-from simplexmix.simplex import SamplerSpec
+from simplexmix.hull import PointSet, extremal_set
+from simplexmix.simplex import SamplerSpec, child_seed, sample
 
 
-def _cfg(J, n_grid, reps, seed, sampler=None):
-    return ExperimentConfig(
-        J=J,
-        n_grid=tuple(n_grid),
-        reps=reps,
-        sampler=sampler or SamplerSpec("uniform", J, seed),
-        seed=seed,
-    )
+def _cfg(J, n_grid, reps, seed):
+    return ExperimentConfig(n_grid=tuple(n_grid), reps=reps, sampler=SamplerSpec("uniform", J, seed))
 
 
 class TestExperimentConfig:
@@ -40,9 +37,9 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="reps"):
             _cfg(3, (10, 100), 0, 0)
 
-    def test_sampler_dimension(self):
-        with pytest.raises(ValueError, match="dimension"):
-            _cfg(3, (10, 100), 5, 0, sampler=SamplerSpec("uniform", 4, 0))
+    def test_grid_nonempty(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            _cfg(3, (), 5, 0)
 
 
 class TestGrowthExperiment:
@@ -133,24 +130,22 @@ class TestCLTExperiment:
 
 class TestGammaExperiment:
     def test_uniform_vs_uniform_near_one(self):
-        seq = gamma_experiment(3, (10, 100, 1000), 120, SamplerSpec("uniform", 3, 5), 5)
+        seq = gamma_experiment((10, 100, 1000), 120, SamplerSpec("uniform", 3, 5))
         assert np.all(np.abs(seq.gamma_n - 1.0) <= 3.0 * seq.se)
 
     def test_dirichlet_bounded_away_from_zero(self):
-        seq = gamma_experiment(
-            3, (10, 100, 1000), 120, SamplerSpec("dirichlet", 3, 5, alpha=(2.0, 2.0, 2.0)), 5
-        )
+        seq = gamma_experiment((10, 100, 1000), 120, SamplerSpec("dirichlet", 3, 5, alpha=(2.0, 2.0, 2.0)))
         assert np.all(seq.gamma_n > 0.05)
 
     def test_seed_replication_consistency(self):
         g = SamplerSpec("dirichlet", 3, 0, alpha=(2.0, 2.0, 2.0))
-        s1 = gamma_experiment(3, (10, 100, 1000), 120, g, 11)
-        s2 = gamma_experiment(3, (10, 100, 1000), 120, g, 22)
+        s1 = gamma_experiment((10, 100, 1000), 120, dataclasses.replace(g, seed=11))
+        s2 = gamma_experiment((10, 100, 1000), 120, dataclasses.replace(g, seed=22))
         pooled = np.sqrt(s1.se**2 + s2.se**2)
         assert np.all(np.abs(s1.gamma_n - s2.gamma_n) <= 3.0 * pooled)
 
     def test_positive(self):
-        seq = gamma_experiment(4, (10, 100), 50, SamplerSpec("dirichlet", 4, 1, alpha=(1.5,) * 4), 1)
+        seq = gamma_experiment((10, 100), 50, SamplerSpec("dirichlet", 4, 1, alpha=(1.5,) * 4))
         assert np.all(seq.gamma_n > 0)
 
 
@@ -165,6 +160,46 @@ class TestHullLimit:
     def test_grid_validated(self):
         with pytest.raises(ValueError):
             hull_limit_experiment(3, (100, 100), 0)
+        with pytest.raises(ValueError, match="nonempty"):
+            hull_limit_experiment(3, (), 0)
+
+
+def _f0(spec, n, seed):
+    return extremal_set(PointSet(sample(dataclasses.replace(spec, seed=seed), n))).f0
+
+
+def _moments(f0):
+    f0 = np.asarray(f0, dtype=np.float64)
+    return f0.mean(axis=-1), f0.var(axis=-1, ddof=1)
+
+
+class TestSeedTree:
+    """Each experiment's statistics equal those of clouds drawn directly at
+    the documented seeds: growth cloud (g, r) at child_seed(seed, g, r), clt
+    cloud r at child_seed(seed, r), gamma arm a at
+    child_seed(child_seed(seed, a), g, r)."""
+
+    def test_growth(self):
+        spec, grid, reps = SamplerSpec("dirichlet", 4, 17, alpha=(2.0, 1.0, 1.0, 3.0)), (6, 30, 200), 4
+        curve = growth_experiment(ExperimentConfig(n_grid=grid, reps=reps, sampler=spec), threads=2)
+        mean, var = _moments([[_f0(spec, n, child_seed(17, g, r)) for r in range(reps)] for g, n in enumerate(grid)])
+        np.testing.assert_array_equal(curve.mean_f0, mean)
+        np.testing.assert_array_equal(curve.var_f0, var)
+
+    def test_clt(self):
+        rep = clt_experiment(3, 40, 100, 23, threads=2)
+        mean, var = _moments([_f0(SamplerSpec("uniform", 3, 0), 40, child_seed(23, r)) for r in range(100)])
+        assert rep.mean_f0 == mean and rep.sd_f0 == np.sqrt(var)
+
+    def test_gamma(self):
+        g, grid, reps = SamplerSpec("dirichlet", 3, 31, alpha=(2.0, 2.0, 1.0)), (5, 50), 3
+        seq = gamma_experiment(grid, reps, g)
+        arms = ((0, SamplerSpec("uniform", 3, 0), seq.mean_m, seq.se_m), (1, g, seq.mean_t, seq.se_t))
+        for arm, spec, mean_out, se_out in arms:
+            f0 = [[_f0(spec, n, child_seed(child_seed(31, arm), gi, r)) for r in range(reps)] for gi, n in enumerate(grid)]
+            mean, var = _moments(f0)
+            np.testing.assert_array_equal(mean_out, mean)
+            np.testing.assert_array_equal(se_out, np.sqrt(var / reps))
 
 
 class TestDefinettiBound:

@@ -102,6 +102,37 @@ class TestGrowthCommand:
         assert code == 2
 
 
+class TestSeedFlag:
+    @pytest.mark.parametrize("command, flag, sampler", [
+        ("growth", "--sampler", "uniform"),
+        ("gamma", "--sampler-g", "dirichlet:2,1,3"),
+    ])
+    def test_json_sampler_seed_is_replaced(self, tmp_path, command, flag, sampler):
+        """--seed roots the seed tree: a JSON sampler's own seed is replaced
+        by it, in the outputs and in the manifest."""
+        spec = {"uniform": {"kind": "uniform"}, "dirichlet:2,1,3": {"kind": "dirichlet", "alpha": [2, 1, 3]}}[sampler]
+        csvs, samplers = [], []
+        for name, value in (("plain", sampler), ("json", json.dumps({**spec, "J": 3, "seed": 99}))):
+            run([command, "--J", "3", "--n-grid", "10,100", "--reps", "5", "--seed", "4", flag, value,
+                 "--out", str(tmp_path / name), "--manifest", str(tmp_path / f"{name}.manifest.json")])
+            csvs.append(read(tmp_path / f"{name}.csv"))
+            samplers.append(json.loads(read(tmp_path / f"{name}.manifest.json"))["config"][flag[2:].replace("-", "_")])
+        assert csvs[0] == csvs[1]
+        assert samplers[0] == samplers[1] and samplers[1]["seed"] == 4
+
+
+class TestEmptyGrid:
+    @pytest.mark.parametrize("argv, message", [
+        (["hull-limit", "--J", "3", "--n-grid", ","], "n_grid must be nonempty"),
+        (["polya", "--true-weights", "0.5,0.5", "--k-grid", ","], "k_grid must be nonempty"),
+    ])
+    def test_exits_2(self, tmp_path, capsys, argv, message):
+        code = main(argv + ["--out", str(tmp_path / "o"), "--manifest", str(tmp_path / "m.json")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "m.json")
+
+
 class TestCltCommand:
     def test_writes_report(self, tmp_path):
         out = tmp_path / "c"

@@ -160,8 +160,7 @@ class TestMinimaxRate:
 class TestConvergenceTrace:
     def test_point_mass_recovery(self):
         truth = ChoquetMeasure(weights=np.array([1.0, 0.0]))
-        emb = AtomEmbedding.for_atoms(2)
-        trace = convergence_trace(truth, (100, 1000, 10_000), build_params(1.0, 1), emb, seed=0)
+        trace = convergence_trace(truth, (100, 1000, 10_000), 1.0, seed=0)
         errors = [e for _, e, _ in trace]
         assert errors[-1] < 0.01
         assert errors == sorted(errors, reverse=True)
@@ -170,11 +169,9 @@ class TestConvergenceTrace:
         # per-seed wins: overwhelming for a well-separated truth (a nearly
         # uniform truth loses a few seeds to small-k luck, ~94/100)
         truth = ChoquetMeasure(weights=np.array([0.9, 0.1]))
-        emb = AtomEmbedding.for_atoms(2)
-        params = build_params(1.0, 1)
         wins = 0
         for seed in range(100):
-            trace = convergence_trace(truth, (100, 10_000), params, emb, seed=seed)
+            trace = convergence_trace(truth, (100, 10_000), 1.0, seed=seed)
             if trace[-1][1] < trace[0][1]:
                 wins += 1
         assert wins >= 95
@@ -182,27 +179,21 @@ class TestConvergenceTrace:
     def test_mean_error_decreases_along_grid(self):
         # consistency in expectation over seeds on the grid {1e2, 1e3, 1e4}
         truth = ChoquetMeasure(weights=np.array([0.6, 0.4]))
-        emb = AtomEmbedding.for_atoms(2)
-        params = build_params(1.0, 1)
         errs = np.zeros(3)
         for seed in range(60):
-            trace = convergence_trace(truth, (100, 1000, 10_000), params, emb, seed=seed)
+            trace = convergence_trace(truth, (100, 1000, 10_000), 1.0, seed=seed)
             errs += [e for _, e, _ in trace]
         assert errs[0] > errs[1] > errs[2]
 
     def test_rate_column_matches_function(self):
         truth = ChoquetMeasure(weights=np.array([0.5, 0.5]))
-        emb = AtomEmbedding.for_atoms(2)
-        trace = convergence_trace(truth, (100, 1000), build_params(0.5, 1), emb, seed=1)
+        trace = convergence_trace(truth, (100, 1000), 0.5, seed=1)
         for k, _, rate in trace:
             assert rate == minimax_rate(k, 0.5)
 
-    def test_weight_length_checked(self):
-        emb = AtomEmbedding.for_atoms(4)
-        with pytest.raises(ValueError, match="atoms"):
-            convergence_trace(
-                ChoquetMeasure(weights=np.array([0.5, 0.5])), (100,), build_params(1.0, 2), emb, 0
-            )
+    def test_grid_nonempty(self):
+        with pytest.raises(ValueError, match="k_grid must be nonempty"):
+            convergence_trace(ChoquetMeasure(weights=np.array([0.5, 0.5])), (), 1.0, 0)
 
 
 class TestSerialization:

@@ -231,9 +231,27 @@ class AdmixtureModel:
         return self.f.shape[0]
 
 
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Row sums of a tall, narrow array, adding its columns left to right.
+
+    One vector add per column, where ``a.sum(axis=1)`` runs a short inner
+    loop per row; the order ((a0 + a1) + a2) + ... is fixed for every L.
+    """
+    total = a[:, 0].copy()
+    for l in range(1, a.shape[1]):
+        total += a[:, l]
+    return total
+
+
 def log_likelihood(x: DocTermMatrix, phi: np.ndarray, f: np.ndarray) -> float:
-    """sum_ij x_ij log((phi @ f)_ij), the parameter-dependent likelihood part."""
-    pi = np.einsum("el,el->e", phi[x.doc_ids], f[:, x.term_ids].T)
+    """sum_ij x_ij log((phi @ f)_ij), the parameter-dependent likelihood part.
+
+    Each pi_e = (phi @ f)[doc_e, term_e] adds its L products left to right,
+    term by term as ``em_fit`` does, so the two agree bit for bit.  This
+    order replaced ``np.einsum``'s, which moved ``fit-admixture`` outputs
+    and log-likelihoods in the last bit, once.
+    """
+    pi = _row_sums(np.take(phi, x.doc_ids, axis=0) * np.take(f.T, x.term_ids, axis=0))
     if np.any(pi <= 0.0):
         return -math.inf
     return float(x.counts @ np.log(pi))
@@ -243,7 +261,7 @@ def _smoothed(phi: np.ndarray, f: np.ndarray):
     """Add ``_EM_SMOOTHING`` against exact zeros and renormalize the rows, in place."""
     phi += _EM_SMOOTHING
     f += _EM_SMOOTHING
-    phi /= phi.sum(axis=1, keepdims=True)
+    phi /= _row_sums(phi)[:, None]
     f /= f.sum(axis=1, keepdims=True)
     return phi, f
 
@@ -278,6 +296,10 @@ def em_fit(
     rows.  This equals the E-step (responsibilities proportional to
     phi[doc_e, l] * f[l, term_e]) followed by the count-weighted M-step, and
     counts @ log(pi) is the log-likelihood of the iterate being updated.
+    Every sum over components (pi_e, the phi row totals, the starting
+    responsibilities' totals) adds the L columns left to right, the same
+    order for every L.  This order replaced ``np.einsum``'s, which moved
+    ``fit-admixture`` outputs in the last bit, once.
     The recorded trace is exactly non-decreasing: a float decrease (possible
     only at the numerical plateau) reverts to the previous iterate and stops.
     ``AdmixtureModel.stop`` says which rule ended the restart.  Ties between
@@ -285,6 +307,8 @@ def em_fit(
     """
     if l_comp < 1:
         raise ValueError(f"need at least one component, got {l_comp}")
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
     if x.nnz == 0:
         raise ValueError("empty matrix: nothing to fit")
     totals = x.doc_totals()
@@ -302,12 +326,12 @@ def em_fit(
     def run_restart(restart: int) -> AdmixtureModel:
         rng = np.random.default_rng(child_seed(seed, restart))
         resp = rng.standard_exponential(size=(x.nnz, l_comp))
-        resp /= resp.sum(axis=1, keepdims=True)
+        resp /= _row_sums(resp)[:, None]
         phi, f = _m_step(x, resp, l_comp)
         ratio = csr_matrix((np.empty(x.nnz), counts.indices, counts.indptr), shape=counts.shape)
         trace, previous = [], None
         while True:
-            pi = np.einsum("el,el->e", np.take(phi, doc, axis=0), np.take(f.T, term, axis=0))
+            pi = _row_sums(np.take(phi, doc, axis=0) * np.take(f.T, term, axis=0))
             ll = float(counts.data @ np.log(pi)) if pi.min() > 0.0 else -math.inf
             if trace and ll < trace[-1]:
                 phi, f = previous  # numerical plateau; keep the previous iterate

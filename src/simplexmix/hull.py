@@ -284,13 +284,10 @@ def _affine_coordinates(pts: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _fix_signs(vt: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude entry of each row positive."""
-    out = vt.copy()
-    for row in out:
-        k = int(np.argmax(np.abs(row)))
-        if row[k] < 0:
-            row *= -1.0
-    return out
+    """Make the largest-magnitude entry of each row positive (the first such
+    entry on ties); a row whose picked entry is not negative is unchanged."""
+    picked = vt[np.arange(vt.shape[0]), np.abs(vt).argmax(axis=1)]
+    return np.negative(vt, out=vt.copy(), where=(picked < 0)[:, None])
 
 
 def _perpoint_keep(z: np.ndarray, rows=None) -> np.ndarray:

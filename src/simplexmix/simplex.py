@@ -9,7 +9,6 @@ always reproduce identical streams.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -22,7 +21,6 @@ __all__ = [
     "validate",
     "sample",
     "child_seed",
-    "replicate",
 ]
 
 # Coordinates below -NEGATIVE_TOL are rejected; tiny negatives are clipped.
@@ -180,12 +178,9 @@ def _map_indexed(fn, tasks, threads: int) -> list:
     Results keep the order of ``tasks``; with each task's randomness drawn
     from its own ``child_seed``, the output is the same for any thread count.
     """
-    if threads <= 1:
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    if threads == 1:
         return [fn(t) for t in tasks]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, tasks))
-
-
-def replicate(spec: SamplerSpec, *key: int) -> SamplerSpec:
-    """Spec for replicate ``key`` of ``spec``: same law, child stream."""
-    return dataclasses.replace(spec, seed=child_seed(spec.seed, *key))

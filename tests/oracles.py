@@ -144,6 +144,17 @@ def facet_normal_sums(hull, n: int) -> np.ndarray:
     return normal_sum
 
 
+def fix_signs_by_rows(vt: np.ndarray) -> np.ndarray:
+    """Each row of ``vt`` negated when its first largest-magnitude entry is
+    negative, one row at a time."""
+    out = vt.copy()
+    for row in out:
+        k = int(np.argmax(np.abs(row)))
+        if row[k] < 0:
+            row *= -1.0
+    return out
+
+
 def em_reference(x, l_comp: int, max_iters: int, seed: int, restart: int, rel_tol: float, smoothing: float):
     """One restart of admixture EM by explicit responsibilities, iterate by iterate.
 

@@ -197,6 +197,11 @@ class TestEmFit:
         with pytest.raises(ValueError, match="tokens"):
             em_fit(x, 3)
 
+    def test_zero_restarts_rejected(self):
+        x = load_docword(b"1\n2\n1\n1 1 2\n")
+        with pytest.raises(ValueError, match="restarts must be >= 1"):
+            em_fit(x, 1, restarts=0)
+
     def test_deterministic_and_thread_invariant(self):
         x, _, _ = synthetic_corpus(2, 6, 60, 30, 0.9, seed=5)
         a = em_fit(x, 3, max_iters=60, restarts=3, seed=5)
@@ -223,6 +228,22 @@ def _shuffled(x, seed):
     return DocTermMatrix(x.n_docs, x.n_terms, x.doc_ids[p], x.term_ids[p], x.counts[p])
 
 
+class TestRowSums:
+    @pytest.mark.parametrize("l_comp", range(1, 13))
+    def test_left_to_right_bit_for_bit(self, l_comp):
+        # Entries spread over 16 decades, so another order rounds many rows differently.
+        rng = np.random.default_rng(l_comp)
+        a = rng.standard_exponential((2000, l_comp)) * 10.0 ** rng.integers(-8, 9, size=(2000, l_comp))
+        expected = np.zeros(2000)
+        for i, row in enumerate(a.tolist()):
+            total = row[0]
+            for v in row[1:]:
+                total += v
+            expected[i] = total
+        assert admixture._row_sums(a).tobytes() == expected.tobytes()
+        assert admixture._row_sums(np.asfortranarray(a)).tobytes() == expected.tobytes()
+
+
 class TestFusedStep:
     """em_fit's fused sparse update against the explicit-responsibility oracle."""
 
@@ -247,6 +268,7 @@ class TestFusedStep:
             ((3, 8, 200, 50, 0.8, 21), 3, 500, False),
             ((3, 12, 300, 40, 0.9, 22), 4, 500, True),
             ((2, 6, 150, 30, 0.7, 23), 3, 120, False),
+            ((4, 14, 300, 60, 0.8, 24), 9, 200, True),
         ],
     )
     def test_fit_matches_reference(self, corpus, l_comp, max_iters, shuffle):

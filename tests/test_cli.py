@@ -268,6 +268,15 @@ class TestFitAdmixtureCommand:
             outs[tag] = (read(d / "report.json"), read(d / "phi.csv"), read(d / "f.csv"))
         assert outs["a"] == outs["b"] == outs["c"]
 
+    def test_zero_restarts_exits_2(self, tmp_path, capsys):
+        x, _, _ = synthetic_corpus(2, 5, 30, 20, 0.9, seed=25)
+        doc = tmp_path / "docword.txt"
+        write_docword(x, doc)
+        run(["fit-admixture", "--input", str(doc), "--L0", "2", "--restarts", "0",
+             "--csv-dir", str(tmp_path), "--manifest", str(tmp_path / "m.json")], expect=2)
+        assert "restarts must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
     def test_matrix_csv_bytes_match_savetxt(self, tmp_path):
         rng = np.random.default_rng(24)
         floor = 1e-10 / (1.0 + 40 * 1e-10)  # a smoothed zero after renormalization
@@ -298,6 +307,29 @@ class TestFitAdmixtureCommand:
 def subparser_dests() -> dict[str, set[str]]:
     (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     return {name: {a.dest for a in p._actions} - {"help"} for name, p in sub.choices.items()}
+
+
+class TestThreadsFlag:
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["growth", "--J", "2", "--n-grid", "3,10", "--reps", "2"],
+            ["clt", "--J", "3", "--n", "50", "--reps", "100"],
+            ["gamma", "--J", "3", "--n-grid", "10,20", "--reps", "5"],
+            ["fit-admixture", "--L0", "2", "--pca-dim", "2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_non_positive_exits_2(self, tmp_path, capsys, monkeypatch, argv, threads):
+        monkeypatch.setenv("SIMPLEXMIX_OUT_DIR", str(tmp_path))
+        x, _, _ = synthetic_corpus(2, 5, 30, 20, 0.9, seed=26)
+        write_docword(x, tmp_path / "docword.txt")
+        if argv[0] == "fit-admixture":
+            argv = argv + ["--input", str(tmp_path / "docword.txt")]
+        run(argv + ["--threads", threads], expect=2)
+        assert "threads must be >= 1" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.manifest.json"))
 
 
 class TestManifestConfig:

@@ -7,6 +7,7 @@ from scipy.spatial import ConvexHull
 from oracles import (
     dedup_by_pairs,
     facet_normal_sums,
+    fix_signs_by_rows,
     hull_distance_by_faces,
     monotone_chain_hull_vertices,
     orientation_hull_vertices,
@@ -17,6 +18,7 @@ from simplexmix.hull import (
     PointSet,
     _affine_coordinates,
     _certified,
+    _fix_signs,
     _normal_sums,
     c_constant,
     count_towers,
@@ -556,3 +558,17 @@ class TestPCAProject:
         res = pca_project(data, 3)
         for row in res.components:
             assert row[int(np.argmax(np.abs(row)))] > 0
+
+    def test_fix_signs_matches_row_loop(self):
+        rng = np.random.default_rng(5)
+        vt = np.vstack([
+            rng.standard_normal((6, 4)),
+            [[0.5, -0.5, 0.1, 0.0]],  # tie in |max|, the first positive
+            [[-0.5, 0.5, 0.1, 0.0]],  # tie in |max|, the first negative
+            [[0.2, -0.9, -0.0, 0.3]],  # negative maximum, a -0.0 entry
+            [[0.0, -0.0, 0.0, 0.0]],  # zero row
+            [[-0.0, -0.0, -0.0, -0.0]],
+        ])
+        for rows in (vt, vt[:0], vt[:, :1]):
+            assert _fix_signs(rows).tobytes() == fix_signs_by_rows(rows).tobytes()
+        assert not np.shares_memory(_fix_signs(vt), vt)

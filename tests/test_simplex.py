@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from simplexmix.asymptotics import ks_distance
-from simplexmix.simplex import SamplerSpec, child_seed, replicate, sample, validate
+from simplexmix.simplex import SamplerSpec, child_seed, sample, validate
 
 
 class TestValidate:
@@ -130,7 +132,11 @@ class TestSeedTree:
 
     def test_replicate_streams(self):
         spec = SamplerSpec("uniform", 3, 11)
-        r0 = replicate(spec, 0)
-        r1 = replicate(spec, 1)
-        assert r0 == replicate(spec, 0)
+
+        def replicate(k):
+            return dataclasses.replace(spec, seed=child_seed(spec.seed, k))
+
+        r0, r1 = replicate(0), replicate(1)
+        assert r0 == replicate(0) and r0.seed != r1.seed
+        assert np.array_equal(sample(r0, 10), sample(replicate(0), 10))
         assert not np.array_equal(sample(r0, 10), sample(r1, 10))

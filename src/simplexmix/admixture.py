@@ -30,7 +30,6 @@ __all__ = [
     "PipelineReport",
     "load_docword",
     "drop_zero_terms",
-    "permute_terms",
     "log_likelihood",
     "em_fit",
     "identifiability_check",
@@ -92,11 +91,6 @@ class DocTermMatrix:
 
     def term_totals(self) -> np.ndarray:
         return np.bincount(self.term_ids, weights=self.counts, minlength=self.n_terms).astype(np.int64)
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.n_docs, self.n_terms))
-        out[self.doc_ids, self.term_ids] = self.counts
-        return out
 
 
 def load_docword(source) -> DocTermMatrix:
@@ -196,20 +190,6 @@ def drop_zero_terms(x: DocTermMatrix) -> tuple[DocTermMatrix, np.ndarray]:
             counts=x.counts,
         ),
         kept,
-    )
-
-
-def permute_terms(x: DocTermMatrix, perm) -> DocTermMatrix:
-    """Relabel term ids by ``perm`` (new id = perm[old id]); order preserved."""
-    perm = np.asarray(perm, dtype=np.int64)
-    if sorted(perm.tolist()) != list(range(x.n_terms)):
-        raise ValueError("perm must be a permutation of range(n_terms)")
-    return DocTermMatrix(
-        n_docs=x.n_docs,
-        n_terms=x.n_terms,
-        doc_ids=x.doc_ids,
-        term_ids=perm[x.term_ids],
-        counts=x.counts,
     )
 
 

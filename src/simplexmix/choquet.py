@@ -9,7 +9,6 @@ independent cross-check.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,13 +63,6 @@ class SimplexFrame:
     def J(self) -> int:
         return self.vertices.shape[1]
 
-    def to_json(self) -> str:
-        return json.dumps({"vertices": self.vertices.tolist(), "cond": self.cond})
-
-    @classmethod
-    def from_json(cls, text: str) -> "SimplexFrame":
-        return make_frame(np.asarray(json.loads(text)["vertices"], dtype=np.float64))
-
 
 def _augmented(vertices: np.ndarray) -> np.ndarray:
     """Stack vertex columns over a row of ones: the affine solve matrix."""
@@ -120,13 +112,6 @@ class ChoquetMeasure:
     @property
     def m(self) -> int:
         return self.weights.size
-
-    def to_json(self) -> str:
-        return json.dumps({"weights": self.weights.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "ChoquetMeasure":
-        return cls(weights=np.asarray(json.loads(text)["weights"], dtype=np.float64))
 
 
 def choquet_measure(p, frame: SimplexFrame, solver: str = "direct") -> ChoquetMeasure:

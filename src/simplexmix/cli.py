@@ -287,7 +287,7 @@ def _cmd_polya(args) -> list[str]:
     k_grid = _parse_grid(args.k_grid)
     trace = convergence_trace(weights, k_grid, args.alpha, args.seed)
     args.true_weights, args.k_grid = list(weights.weights), list(k_grid)
-    args.depth = AtomEmbedding.for_atoms(weights.m).depth
+    args.depth = AtomEmbedding(weights.m).depth
     csv_path = _out_base(args) + ".csv"
     _write_csv(csv_path, ["k", "sup_error", "minimax_rate"], trace)
     return [csv_path]

@@ -1,4 +1,4 @@
-"""Convex-hull extremal sets, tower counts, Hausdorff distance, PCA projection.
+"""Convex-hull extremal sets, tower counts, PCA projection.
 
 The workhorse is the distance from a point to the convex hull of a finite
 point set, computed exactly by one non-negative least-squares solve (scipy's
@@ -20,7 +20,6 @@ used as a fallback, so every route applies the same rule.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -32,12 +31,10 @@ __all__ = [
     "EXTREME_TOL",
     "PointSet",
     "ExtremalSet",
-    "TowerCount",
     "PCAResult",
     "point_to_hull_distance",
     "is_extreme",
     "extremal_set",
-    "hausdorff",
     "count_towers",
     "c_constant",
     "pca_project",
@@ -80,21 +77,6 @@ class PointSet:
     @property
     def d(self) -> int:
         return self.points.shape[1]
-
-    def to_csv(self, path) -> None:
-        """One point per row, 17 significant digits."""
-        np.savetxt(path, self.points, delimiter=",", fmt="%.17g")
-
-    @classmethod
-    def from_csv(cls, path) -> "PointSet":
-        return cls(np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=np.float64)))
-
-    def to_json(self) -> str:
-        return json.dumps({"points": self.points.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "PointSet":
-        return cls(np.asarray(json.loads(text)["points"], dtype=np.float64))
 
 
 def _dedup(pts: np.ndarray, tol: float) -> np.ndarray:
@@ -177,26 +159,15 @@ class ExtremalSet:
     def f0(self) -> int:
         return int(self.indices.size)
 
-    def to_json(self) -> str:
-        return json.dumps({"indices": self.indices.tolist(), "f0": self.f0})
 
-
-@dataclass(frozen=True)
-class TowerCount:
-    """Number of maximal face chains (towers) of the (J-1)-simplex."""
-
-    J: int
-    towers: int
-
-
-def _as_points(ps, name: str = "points") -> np.ndarray:
+def _as_points(ps) -> np.ndarray:
     if isinstance(ps, PointSet):
         return ps.points
     pts = np.asarray(ps, dtype=np.float64)
     if pts.ndim != 2:
         raise ValueError(f"expected a (n, d) array or PointSet, got shape {pts.shape}")
     if not np.isfinite(pts).all():
-        raise ValueError(f"non-finite values in {name}")
+        raise ValueError("non-finite values in points")
     return pts
 
 
@@ -387,25 +358,7 @@ def extremal_set(ps, method: str = "auto") -> ExtremalSet:
     return ExtremalSet(np.concatenate([cand[ok], _perpoint_keep(z, cand[~ok])]))
 
 
-def hausdorff(a, b) -> float:
-    """Hausdorff distance between the convex hulls of two point sets.
-
-    max over points of either set of the distance to the other hull;
-    symmetric, zero iff the hulls coincide (within solver precision).
-    """
-    pa = _as_points(a, "point set a")
-    pb = _as_points(b, "point set b")
-    for name, pts in (("a", pa), ("b", pb)):
-        if pts.shape[0] == 0:
-            raise ValueError(f"point set {name} is empty")
-    if pa.shape[1] != pb.shape[1]:
-        raise ValueError(f"dimension mismatch: {pa.shape[1]} vs {pb.shape[1]}")
-    d_ab = max(_hull_distance(p, pb) for p in pa)
-    d_ba = max(_hull_distance(q, pa) for q in pb)
-    return max(d_ab, d_ba)
-
-
-def count_towers(J: int) -> TowerCount:
+def count_towers(J: int) -> int:
     """Count towers of the (J-1)-simplex.
 
     A face is a nonempty vertex subset; a tower is a maximal chain of faces,
@@ -414,13 +367,12 @@ def count_towers(J: int) -> TowerCount:
     """
     if not 2 <= J <= 6:
         raise ValueError(f"J={J} outside the supported range [2, 6]")
-    return TowerCount(J=J, towers=math.factorial(J))
+    return math.factorial(J)
 
 
 def c_constant(J: int) -> float:
     """Growth constant T(simplex) / ((J+1)^(J-1) (J-1)!)."""
-    t = count_towers(J).towers
-    return t / ((J + 1) ** (J - 1) * math.factorial(J - 1))
+    return count_towers(J) / ((J + 1) ** (J - 1) * math.factorial(J - 1))
 
 
 @dataclass(frozen=True)
@@ -436,7 +388,6 @@ class PCAResult:
     components: np.ndarray
     mean: np.ndarray
     explained_variance_ratio: np.ndarray
-    singular_values: np.ndarray
 
 
 def pca_project(data, d: int) -> PCAResult:
@@ -472,5 +423,4 @@ def pca_project(data, d: int) -> PCAResult:
         components=basis,
         mean=x.mean(axis=0),
         explained_variance_ratio=ratio,
-        singular_values=s.copy(),
     )

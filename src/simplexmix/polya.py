@@ -9,7 +9,6 @@ the atom cells) estimate the atom weights.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -68,18 +67,15 @@ class AtomEmbedding:
     """Injective map of M atoms onto the leftmost M depth-D dyadic cells."""
 
     n_atoms: int
-    depth: int
 
     def __post_init__(self):
         if self.n_atoms < 2:
             raise ValueError(f"need at least 2 atoms, got {self.n_atoms}")
-        min_depth = max(1, math.ceil(math.log2(self.n_atoms)))
-        if self.depth != min_depth:
-            raise ValueError(f"embedding depth must be ceil(log2 M) = {min_depth}, got {self.depth}")
 
-    @classmethod
-    def for_atoms(cls, n_atoms: int) -> "AtomEmbedding":
-        return cls(n_atoms=n_atoms, depth=max(1, math.ceil(math.log2(n_atoms))))
+    @property
+    def depth(self) -> int:
+        """D = ceil(log2 M), the least depth with M cells."""
+        return math.ceil(math.log2(self.n_atoms))
 
     def cells(self, atom_ids) -> np.ndarray:
         """Cell index (left-to-right at depth D) for each atom id."""
@@ -104,42 +100,13 @@ class PolyaTreePosterior:
     counts: tuple
     k: int
 
-    @classmethod
-    def prior(cls, params: PolyaTreeParams, emb: AtomEmbedding) -> "PolyaTreePosterior":
-        if params.depth < emb.depth:
-            raise ValueError(f"params depth {params.depth} is below the embedding depth {emb.depth}")
-        counts = tuple(np.zeros((2**l, 2), dtype=np.int64) for l in range(emb.depth))
-        return cls(params=params, emb=emb, counts=counts, k=0)
-
-    def to_json(self) -> str:
-        """Level-ordered (left, right) count pairs plus the configuration."""
-        return json.dumps(
-            {
-                "alpha": self.params.alpha,
-                "depth": self.params.depth,
-                "n_atoms": self.emb.n_atoms,
-                "k": self.k,
-                "counts": [level.tolist() for level in self.counts],
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "PolyaTreePosterior":
-        obj = json.loads(text)
-        emb = AtomEmbedding.for_atoms(obj["n_atoms"])
-        params = build_params(obj["alpha"], obj["depth"])
-        counts = tuple(np.asarray(level, dtype=np.int64) for level in obj["counts"])
-        if len(counts) != emb.depth or any(c.shape != (2**l, 2) for l, c in enumerate(counts)):
-            raise ValueError("count levels do not match the embedding depth")
-        return cls(params=params, emb=emb, counts=counts, k=int(obj["k"]))
-
 
 def prior_posterior(alpha: float, n_atoms: int) -> PolyaTreePosterior:
     """Prior state for M atoms at Holder exponent alpha, with parameters for
-    the levels of the embedding."""
-    emb = AtomEmbedding.for_atoms(n_atoms)
-    return PolyaTreePosterior.prior(build_params(alpha, emb.depth), emb)
+    the levels of the embedding and no routed observations."""
+    emb = AtomEmbedding(n_atoms)
+    counts = tuple(np.zeros((2**l, 2), dtype=np.int64) for l in range(emb.depth))
+    return PolyaTreePosterior(params=build_params(alpha, emb.depth), emb=emb, counts=counts, k=0)
 
 
 def posterior_update(post: PolyaTreePosterior, atoms) -> PolyaTreePosterior:

@@ -1,9 +1,12 @@
 """Independent brute-force oracles the library code never touches."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 from scipy.spatial import cKDTree
+
+from simplexmix.hull import point_to_hull_distance
 
 
 def orientation_hull_vertices(points: np.ndarray, eps: float = 1e-12) -> np.ndarray:
@@ -108,6 +111,31 @@ def hull_distance_by_faces(p: np.ndarray, points: np.ndarray) -> float:
             if c.min(initial=0.0) >= 0.0 and c.sum() <= 1.0:
                 best = min(best, float(np.linalg.norm(p - v0 - diffs.T @ c)))
     return best
+
+
+def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
+    """Hausdorff distance between the convex hulls of two point sets.
+
+    The distance from a point to a convex hull is convex in the point, so
+    each directed distance is attained at a point of the set: the result is
+    the largest NNLS distance from a point of either set to the other hull.
+    """
+    d_ab = max(point_to_hull_distance(p, b) for p in a)
+    d_ba = max(point_to_hull_distance(q, a) for q in b)
+    return max(d_ab, d_ba)
+
+
+def dense_counts(x) -> np.ndarray:
+    """The (n_docs, n_terms) float array of a DocTermMatrix's counts."""
+    out = np.zeros((x.n_docs, x.n_terms))
+    out[x.doc_ids, x.term_ids] = x.counts
+    return out
+
+
+def permute_terms(x, perm: np.ndarray):
+    """``x`` with term ids relabelled by ``perm`` (new id = perm[old id]),
+    triplet order kept."""
+    return dataclasses.replace(x, term_ids=perm[x.term_ids])
 
 
 def dense_log_likelihood(dense_counts: np.ndarray, phi: np.ndarray, f: np.ndarray) -> float:

@@ -100,8 +100,8 @@ def test_criterion_02_triangle_growth():
 
 def test_criterion_03_tower_constants():
     with criterion(3, "tower counts 2 and 6 vs brute-force oracle; c(3) = 0.1875"):
-        assert count_towers(2).towers == 2 == towers_by_dfs(2)
-        assert count_towers(3).towers == 6 == towers_by_dfs(3)
+        assert count_towers(2) == 2 == towers_by_dfs(2)
+        assert count_towers(3) == 6 == towers_by_dfs(3)
         assert abs(c_constant(3) - 0.1875) <= 1e-12
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from oracles import dense_log_likelihood, docword_by_lines, em_reference
+from oracles import dense_counts, dense_log_likelihood, docword_by_lines, em_reference, permute_terms
 from simplexmix import admixture
 from simplexmix.admixture import (
     DocTermMatrix,
@@ -14,7 +14,6 @@ from simplexmix.admixture import (
     identifiability_check,
     load_docword,
     log_likelihood,
-    permute_terms,
     synthetic_corpus,
     two_stage,
 )
@@ -143,8 +142,7 @@ class TestDocTermMatrix:
         perm = np.array([2, 0, 1])
         y = permute_terms(x, perm)
         np.testing.assert_array_equal(y.term_ids, perm[x.term_ids])
-        with pytest.raises(ValueError):
-            permute_terms(x, np.array([0, 0, 1]))
+        np.testing.assert_array_equal(permute_terms(y, np.argsort(perm)).term_ids, x.term_ids)
 
 
 class TestEmFit:
@@ -160,7 +158,7 @@ class TestEmFit:
     def test_loglik_matches_dense_oracle(self):
         x, _, _ = synthetic_corpus(3, 8, 60, 40, 0.7, seed=1)
         model = em_fit(x, 3, max_iters=50, restarts=2, seed=1)
-        dense = x.to_dense()
+        dense = dense_counts(x)
         assert model.loglik == pytest.approx(
             dense_log_likelihood(dense, model.phi, model.f), rel=1e-8
         )
@@ -408,7 +406,7 @@ class TestSyntheticCorpus:
     def test_long_document_lln(self):
         x, phi, f = synthetic_corpus(2, 6, 1, 100_000, 0.5, seed=18)
         pi = (phi @ f)[0]
-        dense = x.to_dense()[0]
+        dense = dense_counts(x)[0]
         emp = dense / dense.sum()
         assert 0.5 * np.abs(emp - pi).sum() < 0.01
 

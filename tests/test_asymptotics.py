@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from oracles import hausdorff
 from simplexmix.asymptotics import (
     ExperimentConfig,
     clt_experiment,
@@ -156,6 +157,16 @@ class TestHullLimit:
         assert np.all(np.diff(d) <= 1e-12)
         assert np.all(d <= 2.0)
         assert np.all(d >= 0.0)
+
+    @pytest.mark.parametrize("J", [3, 4, 5])
+    def test_vertex_shortcut_is_hausdorff(self, J):
+        # the distance from the simplex to a hull inside it is attained at a
+        # simplex vertex: J distances equal the full two-sided Hausdorff
+        # distance over every cloud point and every vertex
+        grid = (10, 100, 1000)
+        cloud = sample(SamplerSpec("uniform", J, 3), grid[-1])
+        for n, d in hull_limit_experiment(J, grid, 3):
+            assert d == pytest.approx(hausdorff(cloud[:n], np.eye(J)), abs=1e-12)
 
     def test_grid_validated(self):
         with pytest.raises(ValueError):

@@ -125,16 +125,3 @@ class TestReconstruct:
             out = reconstruct(ChoquetMeasure(weights=rng.dirichlet(np.ones(3))), frame)
             assert out.min() >= 0
             assert out.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-class TestSerialization:
-    def test_frame_json_round_trip(self):
-        rng = np.random.default_rng(21)
-        frame = random_frame(rng, 3)
-        back = frame.from_json(frame.to_json())
-        np.testing.assert_array_equal(back.vertices, frame.vertices)
-        assert back.cond == pytest.approx(frame.cond, rel=1e-12)
-
-    def test_measure_json_round_trip(self):
-        w = ChoquetMeasure(weights=np.array([0.25, 0.5, 0.25]))
-        np.testing.assert_array_equal(ChoquetMeasure.from_json(w.to_json()).weights, w.weights)

@@ -4,7 +4,6 @@ import pytest
 from simplexmix.choquet import ChoquetMeasure
 from simplexmix.polya import (
     AtomEmbedding,
-    PolyaTreePosterior,
     build_params,
     cell_masses,
     convergence_trace,
@@ -41,24 +40,24 @@ class TestBuildParams:
 
 class TestEmbedding:
     def test_depth_is_log2_ceiling(self):
-        assert AtomEmbedding.for_atoms(2).depth == 1
-        assert AtomEmbedding.for_atoms(3).depth == 2
-        assert AtomEmbedding.for_atoms(4).depth == 2
-        assert AtomEmbedding.for_atoms(5).depth == 3
+        assert AtomEmbedding(2).depth == 1
+        assert AtomEmbedding(3).depth == 2
+        assert AtomEmbedding(4).depth == 2
+        assert AtomEmbedding(5).depth == 3
 
     def test_cells_injective(self):
-        emb = AtomEmbedding.for_atoms(5)
+        emb = AtomEmbedding(5)
         cells = emb.cells(np.arange(5))
         assert len(set(cells.tolist())) == 5
 
     def test_unknown_atom_rejected(self):
-        emb = AtomEmbedding.for_atoms(3)
+        emb = AtomEmbedding(3)
         with pytest.raises(ValueError, match="unknown atom"):
             emb.cells([0, 3])
 
     def test_too_few_atoms(self):
         with pytest.raises(ValueError):
-            AtomEmbedding.for_atoms(1)
+            AtomEmbedding(1)
 
 
 class TestPosteriorUpdate:
@@ -185,6 +184,17 @@ class TestConvergenceTrace:
             errs += [e for _, e, _ in trace]
         assert errs[0] > errs[1] > errs[2]
 
+    def test_error_rate_with_finitely_many_atoms(self):
+        # with M atoms the weight error is a binomial proportion's: its mean
+        # |error| is sqrt(2/pi) * sqrt(w(1-w)/k), k**-0.5 and far below the
+        # (log k / k)**(alpha/(2 alpha + 1)) benchmark
+        k = 10_000
+        truth = ChoquetMeasure(weights=np.array([0.7, 0.3]))
+        errs = [convergence_trace(truth, (k,), 1.0, seed=seed)[0][1] for seed in range(100)]
+        expected = np.sqrt(2.0 / np.pi) * np.sqrt(0.21 / k)
+        assert 1.0 / 1.5 <= np.mean(errs) / expected <= 1.5
+        assert np.mean(errs) < minimax_rate(k, 1.0) / 10
+
     def test_rate_column_matches_function(self):
         truth = ChoquetMeasure(weights=np.array([0.5, 0.5]))
         trace = convergence_trace(truth, (100, 1000), 0.5, seed=1)
@@ -195,25 +205,3 @@ class TestConvergenceTrace:
         with pytest.raises(ValueError, match="k_grid must be nonempty"):
             convergence_trace(ChoquetMeasure(weights=np.array([0.5, 0.5])), (), 1.0, 0)
 
-
-class TestSerialization:
-    def test_posterior_json_round_trip(self):
-        rng = np.random.default_rng(4)
-        post = posterior_update(prior_posterior(0.5, 5), rng.integers(0, 5, size=64))
-        back = PolyaTreePosterior.from_json(post.to_json())
-        assert back.k == post.k
-        assert back.params.alpha == post.params.alpha
-        for a, b in zip(back.counts, post.counts):
-            np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(
-            weight_estimate(back).weights, weight_estimate(post).weights
-        )
-
-    def test_bad_counts_rejected(self):
-        post = prior_posterior(1.0, 4)
-        import json as _json
-
-        obj = _json.loads(post.to_json())
-        obj["counts"] = obj["counts"][:1]
-        with pytest.raises(ValueError, match="depth"):
-            PolyaTreePosterior.from_json(_json.dumps(obj))

@@ -46,6 +46,13 @@ _EM_REL_TOL = 1e-8
 _READOFF_TOL = 1e-6
 
 
+def _check_pair_key(n_docs, n_terms, what: str) -> None:
+    """(doc, term) pairs are keyed as doc * n_terms + term in int64, so the
+    key space D * W must stay below 2^63 or distinct pairs would collide."""
+    if int(n_docs) * int(n_terms) >= 2**63:
+        raise ValueError(f"{what}: D * W = {n_docs} * {n_terms} must be below 2^63")
+
+
 @dataclass(frozen=True)
 class DocTermMatrix:
     """Sparse counts as parallel triplet arrays, ingestion order preserved."""
@@ -62,6 +69,7 @@ class DocTermMatrix:
         cnt = np.asarray(self.counts, dtype=np.int64)
         if not (doc.shape == term.shape == cnt.shape) or doc.ndim != 1:
             raise ValueError("doc_ids, term_ids and counts must be 1-D arrays of equal length")
+        _check_pair_key(self.n_docs, self.n_terms, "dimensions")
         if doc.size:
             if doc.min() < 0 or doc.max() >= self.n_docs:
                 raise ValueError("document id out of range")
@@ -125,6 +133,7 @@ def load_docword(source) -> DocTermMatrix:
         raise ValueError(f"malformed header: {exc}") from None
     if n_docs < 0 or n_terms < 0 or nnz < 0:
         raise ValueError("malformed header: negative dimension")
+    _check_pair_key(n_docs, n_terms, "header too large")
     body = lines[3:]
     if len(body) != nnz:
         raise ValueError(f"header declares NNZ={nnz} but body has {len(body)} entries")

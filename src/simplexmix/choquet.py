@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .hull import is_extreme, point_to_hull_distance
 from .simplex import validate
@@ -134,6 +133,8 @@ def choquet_measure(p, frame: SimplexFrame, solver: str = "direct") -> ChoquetMe
     if solver == "direct":
         w, *_ = np.linalg.lstsq(a, b, rcond=None)
     elif solver == "nnls":
+        from scipy.optimize import nnls
+
         w, _ = nnls(a, b)
     else:
         raise ValueError(f"unknown solver {solver!r}")

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 from scipy.spatial import ConvexHull, QhullError
 
 __all__ = [
@@ -181,6 +180,8 @@ def _hull_distance(p: np.ndarray, pts: np.ndarray) -> float:
     off the residual, so it is the norm of a point of the hull: an upper bound
     that is exact up to rounding.  ``pts`` must have at least one row.
     """
+    from scipy.optimize import nnls  # ~0.3 s to import, so loaded on the first solve
+
     y = pts - p
     if not y.any(axis=1).all():
         return 0.0  # p is one of the points

@@ -56,6 +56,15 @@ class TestLoadDocword:
         np.testing.assert_array_equal(x.counts, [5, 5])
         np.testing.assert_array_equal(x.term_ids, [0, 1])
 
+    def test_pair_key_overflow_rejected(self):
+        # doc * W + term wraps in int64 once D * W reaches 2^63: here doc ids 1
+        # and 2^31 + 1 with W = 2^33 would share one key and merge into count 5
+        with pytest.raises(ValueError, match="header too large"):
+            load_docword(b"2147483649\n8589934592\n2\n1 1 3\n2147483649 1 2\n")
+        with pytest.raises(ValueError, match="header too large"):
+            load_docword(b"2\n" + b"1" + b"0" * 23 + b"\n1\n1 1 3\n")
+        assert load_docword(b"1\n9223372036854775807\n0\n").nnz == 0  # D * W = 2^63 - 1
+
     def test_reads_bytes_and_files(self, tmp_path):
         text = "1\n2\n1\n1 2 7\n"
         path = tmp_path / "docword.txt"
@@ -129,6 +138,11 @@ class TestDocTermMatrix:
     def test_nonpositive_counts_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             DocTermMatrix(1, 2, np.array([0]), np.array([1]), np.array([0]))
+
+    def test_pair_key_overflow_rejected(self):
+        # two distinct pairs whose int64 keys doc * W + term would coincide
+        with pytest.raises(ValueError, match="2\\^63"):
+            DocTermMatrix(2**31 + 1, 2**33, np.array([0, 2**31]), np.array([0, 0]), np.array([3, 2]))
 
     def test_drop_zero_terms_remap(self):
         x = tiny_matrix()  # term 1 (0-indexed) unused

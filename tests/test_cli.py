@@ -5,11 +5,13 @@ import importlib.util
 import inspect
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import nnls
+import scipy.optimize
 
 from simplexmix import hull
 from simplexmix.admixture import synthetic_corpus
@@ -172,8 +174,9 @@ class TestHullLimitCommand:
     def test_solver_iteration_cap_exits_3(self, tmp_path, monkeypatch):
         # the NNLS iteration cap raises instead of returning a partial answer;
         # growth would not show it, as the certificate settles every candidate
-        # of a uniform cloud without calling the solver
-        monkeypatch.setattr(hull, "nnls", functools.partial(nnls, maxiter=1))
+        # of a uniform cloud without calling the solver.  hull imports nnls at
+        # its call, so the cap is set on scipy.optimize itself.
+        monkeypatch.setattr(scipy.optimize, "nnls", functools.partial(scipy.optimize.nnls, maxiter=1))
         with pytest.raises(RuntimeError):
             hull.point_to_hull_distance([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
         run(["hull-limit", "--J", "3", "--n-grid", "10,100", "--out", str(tmp_path / "h"),
@@ -275,6 +278,15 @@ class TestFitAdmixtureCommand:
         run(["fit-admixture", "--input", str(doc), "--L0", "2", "--restarts", "0",
              "--csv-dir", str(tmp_path), "--manifest", str(tmp_path / "m.json")], expect=2)
         assert "restarts must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_oversized_header_exits_2(self, tmp_path, capsys):
+        # D * W >= 2^63 would overflow the int64 (doc, term) key
+        doc = tmp_path / "docword.txt"
+        doc.write_text(f"2\n{10**23}\n1\n1 1 3\n")
+        run(["fit-admixture", "--input", str(doc), "--L0", "3",
+             "--csv-dir", str(tmp_path), "--manifest", str(tmp_path / "m.json")], expect=2)
+        assert "header too large" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
     def test_matrix_csv_bytes_match_savetxt(self, tmp_path):
@@ -437,6 +449,36 @@ class TestOptionalJsonOut:
         assert os.listdir(out_dir) == [f"{name}.manifest.json"]
         manifest = json.loads(read(out_dir / f"{name}.manifest.json"))
         assert manifest["config"]["out"] is None and manifest["outputs"] == {}
+
+
+class TestSolverImportDeferred:
+    """scipy.optimize takes about a third of a second to import and is needed
+    only by an NNLS solve, which growth and clt skip when the certificate
+    settles every candidate.  A fresh interpreter is used because other test
+    modules import scipy.optimize into this one."""
+
+    # At seed 0 no cloud of these runs leaves a candidate unsettled (growth
+    # seed 22 on the same grid does, and would load the solver).
+    SCRIPT = """
+import sys
+import simplexmix, simplexmix.cli
+assert "scipy.optimize" not in sys.modules, "loaded by import"
+out, main = sys.argv[1], simplexmix.cli.main
+for argv in (["growth", "--J", "5", "--n-grid", "1000,3162,10000", "--reps", "1", "--threads", "2"],
+             ["clt", "--J", "3", "--n", "1000", "--reps", "100"]):
+    assert main(argv + ["--seed", "0", "--out", out + "/o", "--manifest", out + "/m.json"]) == 0
+    assert "scipy.optimize" not in sys.modules, "loaded by " + argv[0]
+assert main(["hull-limit", "--J", "3", "--n-grid", "10,100", "--out", out + "/h",
+             "--manifest", out + "/m.json"]) == 0
+assert "scipy.optimize" in sys.modules, "hull-limit ran without a solve"
+"""
+
+    def test_loaded_only_by_a_solve(self, tmp_path):
+        src = str(Path(hull.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestBenchmarkTracerSites:

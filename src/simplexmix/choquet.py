@@ -2,9 +2,9 @@
 
 A frame is a set of M = J affinely independent probability vectors in the
 J-dimensional simplex; every point of their hull has a unique representing
-weight vector over the frame vertices.  `choquet_measure` recovers it by a
-direct linear solve, with a nonnegative-least-squares route available as an
-independent cross-check.
+weight vector over the frame vertices.  `choquet_measure` reads it off the
+one nonnegative-least-squares solve that also gives the point's distance to
+the frame hull.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hull import is_extreme, point_to_hull_distance
+from .hull import _hull_distance, is_extreme
 from .simplex import validate
 
 __all__ = [
@@ -28,7 +28,8 @@ __all__ = [
     "reconstruct",
 ]
 
-# Points within this distance of the frame hull are solved and clipped.
+# Points within this distance of the frame hull get the weights of their
+# nearest hull point.
 MEMBERSHIP_TOL = 1e-8
 # Frames with a worse condition number of the affine system are rejected.
 COND_LIMIT = 1e10
@@ -63,11 +64,6 @@ class SimplexFrame:
         return self.vertices.shape[1]
 
 
-def _augmented(vertices: np.ndarray) -> np.ndarray:
-    """Stack vertex columns over a row of ones: the affine solve matrix."""
-    return np.vstack([vertices.T, np.ones(vertices.shape[0])])
-
-
 def make_frame(vertices) -> SimplexFrame:
     """Validate vertices into a frame, or raise naming the violated invariant.
 
@@ -90,7 +86,7 @@ def make_frame(vertices) -> SimplexFrame:
     for i in range(m):
         if not is_extreme(i, v):
             raise ValueError(f"vertex {i} lies inside the hull of the others")
-    cond = float(np.linalg.cond(_augmented(v)))
+    cond = float(np.linalg.cond(np.vstack([v.T, np.ones(m)])))  # vertex columns over a row of ones
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise FrameConditionError(f"frame condition number {cond:.3g} exceeds {COND_LIMIT:g}")
     v.setflags(write=False)
@@ -113,34 +109,21 @@ class ChoquetMeasure:
         return self.weights.size
 
 
-def choquet_measure(p, frame: SimplexFrame, solver: str = "direct") -> ChoquetMeasure:
+def choquet_measure(p, frame: SimplexFrame) -> ChoquetMeasure:
     """Weights w with p = sum_l w_l f_l, sum w = 1, over the frame vertices.
 
-    The point must be within MEMBERSHIP_TOL of the frame hull (the error
-    carries the offending distance otherwise).  solver="direct" solves the
-    augmented linear system; solver="nnls" solves the same system under a
-    nonnegativity constraint and exists as an independent route for
-    cross-checking uniqueness.
+    One NNLS solve gives the point's distance to the frame hull and the
+    weights of its nearest hull point; on a frame those weights are unique.
+    The point must be within MEMBERSHIP_TOL of the hull (the error carries
+    the offending distance otherwise).
     """
     p = validate(p)
     if p.size != frame.J:
         raise ValueError(f"point has dimension {p.size}, frame expects {frame.J}")
-    dist = point_to_hull_distance(p, frame.vertices)
+    dist, lam = _hull_distance(p, frame.vertices)
     if dist > MEMBERSHIP_TOL:
         raise OutsideHullError(dist)
-    a = _augmented(frame.vertices)
-    b = np.append(p, 1.0)
-    if solver == "direct":
-        w, *_ = np.linalg.lstsq(a, b, rcond=None)
-    elif solver == "nnls":
-        from scipy.optimize import nnls
-
-        w, _ = nnls(a, b)
-    else:
-        raise ValueError(f"unknown solver {solver!r}")
-    # Boundary points may come back with tiny negative weights; clip and renormalize.
-    w = np.clip(w, 0.0, None)
-    return ChoquetMeasure(weights=w)
+    return ChoquetMeasure(weights=lam)
 
 
 def reconstruct(w: ChoquetMeasure, frame: SimplexFrame) -> np.ndarray:

@@ -75,26 +75,10 @@ def _write_matrix(path: str, a: np.ndarray) -> None:
         fh.write(((",".join(["%.17g"] * m) + "\n") * n) % tuple(a.ravel().tolist()))
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
-
-
 def _write_json(path: str, obj) -> None:
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(_jsonable(obj), fh, sort_keys=True, indent=2)
+        json.dump(obj, fh, sort_keys=True, indent=2, default=lambda v: v.tolist())  # numpy arrays and scalars
         fh.write("\n")
 
 
@@ -113,7 +97,7 @@ def _default_path(subcommand: str, suffix: str = "") -> str:
 def _write_manifest(subcommand: str, path: str | None, config: dict, outputs: list[str]) -> None:
     manifest = {
         "subcommand": subcommand,
-        "config": _jsonable(config),
+        "config": config,
         "seed": config["seed"],
         "version": __version__,
         "outputs": {os.path.basename(p): _sha256(p) for p in outputs},
@@ -265,7 +249,7 @@ def _cmd_choquet(args) -> list[str]:
     vertices = np.atleast_2d(np.loadtxt(args.frame, delimiter=",", dtype=np.float64))
     frame = make_frame(vertices)
     p = _read_vector(args.p)
-    measure = choquet_measure(p, frame, solver=args.solver)
+    measure = choquet_measure(p, frame)
     recon = reconstruct(measure, frame)
     print(",".join(format(w, ".12g") for w in measure.weights))
     if not args.out:  # the error term divides by p.sum(): compute it only for output
@@ -277,7 +261,6 @@ def _cmd_choquet(args) -> list[str]:
             "reconstruction": recon,
             "reconstruction_error": float(np.linalg.norm(recon - p / p.sum())),
             "frame_cond": frame.cond,
-            "solver": args.solver,
         },
     )
 
@@ -398,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("choquet", help="barycentric weights of a point over a frame")
     p.add_argument("--frame", required=True, help="CSV of frame vertices, one per row")
     p.add_argument("--p", required=True, help="point: comma-separated values or a CSV path")
-    p.add_argument("--solver", choices=["direct", "nnls"], default="direct")
     common(p, seed=False, out=_OPTIONAL_JSON_HELP)
     p.set_defaults(func=_cmd_choquet)
 

@@ -170,26 +170,32 @@ def _as_points(ps) -> np.ndarray:
     return pts
 
 
-def _hull_distance(p: np.ndarray, pts: np.ndarray) -> float:
-    """Distance from ``p`` to Conv(rows of ``pts``) by one NNLS solve.
+def _hull_distance(p: np.ndarray, pts: np.ndarray) -> tuple[float, np.ndarray]:
+    """Distance from ``p`` to Conv(rows of ``pts``) by one NNLS solve, and
+    the weights ``lam`` over the rows of the nearest hull point.
 
     With Y = pts - p, u = argmin_{u >= 0} |Y^T u|^2 + (sum(u) - 1)^2.  For
     s = sum(u) and D = |Y^T u / s| the objective is s^2 D^2 + (s - 1)^2, whose
     minimum over s, D^2 / (1 + D^2), increases with D; so lam = u / s is the
     min-norm weight vector on the simplex.  The distance is read off lam, not
     off the residual, so it is the norm of a point of the hull: an upper bound
-    that is exact up to rounding.  ``pts`` must have at least one row.
+    that is exact up to rounding.  When ``p`` is one of the rows, lam is that
+    row's unit vector and no solve runs.  ``pts`` must have at least one row.
     """
     from scipy.optimize import nnls  # ~0.3 s to import, so loaded on the first solve
 
     y = pts - p
-    if not y.any(axis=1).all():
-        return 0.0  # p is one of the points
+    hit = ~y.any(axis=1)
+    if hit.any():
+        lam = np.zeros(y.shape[0])
+        lam[hit.argmax()] = 1.0
+        return 0.0, lam
     a = np.vstack([y.T, np.ones(y.shape[0])])
     b = np.zeros(a.shape[0])
     b[-1] = 1.0
     u, _ = nnls(a, b)
-    return float(np.linalg.norm(y.T @ (u / u.sum())))
+    lam = u / u.sum()
+    return float(np.linalg.norm(y.T @ lam)), lam
 
 
 def point_to_hull_distance(p, ps) -> float:
@@ -208,7 +214,7 @@ def point_to_hull_distance(p, ps) -> float:
         raise ValueError(f"dimension mismatch: point has {p.size}, set has {pts.shape[1]}")
     if not np.isfinite(p).all():
         raise ValueError("non-finite values in point")
-    return _hull_distance(p, pts)
+    return _hull_distance(p, pts)[0]
 
 
 def is_extreme(i: int, ps) -> bool:
@@ -266,7 +272,7 @@ def _perpoint_keep(z: np.ndarray, rows=None) -> np.ndarray:
     """Rows of ``z`` (all, or those listed in ``rows``) farther than
     ``EXTREME_TOL`` from the hull of the other rows, by the NNLS distance."""
     rows = range(z.shape[0]) if rows is None else rows
-    keep = [int(i) for i in rows if _hull_distance(z[i], np.delete(z, i, axis=0)) > EXTREME_TOL]
+    keep = [int(i) for i in rows if _hull_distance(z[i], np.delete(z, i, axis=0))[0] > EXTREME_TOL]
     return np.asarray(keep, dtype=np.int64)
 
 
@@ -380,14 +386,11 @@ def c_constant(J: int) -> float:
 class PCAResult:
     """Centered SVD projection with explained-variance bookkeeping.
 
-    ``scores`` holds one projected row per input row; ``pointset`` is the
-    deduplicated geometric object fed to hull routines.
+    ``pointset`` holds the projected rows, deduplicated: the geometric object
+    fed to hull routines.
     """
 
-    scores: np.ndarray
     pointset: PointSet
-    components: np.ndarray
-    mean: np.ndarray
     explained_variance_ratio: np.ndarray
 
 
@@ -414,14 +417,6 @@ def pca_project(data, d: int) -> PCAResult:
     y, s, vt, rank = _centered_svd(x)
     if rank < d:
         raise ValueError(f"data rank {rank} is below target dimension {d}; attainable d = {rank}")
-    basis = _fix_signs(vt[:d])
-    scores = y @ basis.T
     total = float((s**2).sum())
     ratio = (s[:d] ** 2) / total if total > 0 else np.zeros(d)
-    return PCAResult(
-        scores=scores,
-        pointset=PointSet(scores),
-        components=basis,
-        mean=x.mean(axis=0),
-        explained_variance_ratio=ratio,
-    )
+    return PCAResult(pointset=PointSet(y @ _fix_signs(vt[:d]).T), explained_variance_ratio=ratio)

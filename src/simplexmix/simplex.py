@@ -133,12 +133,16 @@ class SamplerSpec:
         if not isinstance(obj, dict):
             raise ValueError("sampler JSON must be an object")
         kwargs = {}
-        if "alpha" in obj:
-            kwargs["alpha"] = tuple(obj["alpha"])
-        if "atoms" in obj:
-            kwargs["atoms"] = tuple(tuple(a) for a in obj["atoms"])
-            kwargs["weights"] = tuple(obj["weights"])
-        return cls(kind=obj["kind"], J=obj["J"], seed=obj["seed"], **kwargs)
+        try:
+            if "alpha" in obj:
+                kwargs["alpha"] = tuple(obj["alpha"])
+            if "atoms" in obj:
+                kwargs["atoms"] = tuple(tuple(a) for a in obj["atoms"])
+                kwargs["weights"] = tuple(obj["weights"])
+            kind, j_dim, seed = obj["kind"], obj["J"], obj["seed"]
+        except KeyError as exc:
+            raise ValueError(f"sampler JSON lacks the key {exc.args[0]!r}") from None
+        return cls(kind=kind, J=j_dim, seed=seed, **kwargs)
 
 
 def sample(spec: SamplerSpec, n: int) -> np.ndarray:

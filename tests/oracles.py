@@ -125,6 +125,18 @@ def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
     return max(d_ab, d_ba)
 
 
+def barycentric_by_lstsq(p: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """Weights of ``p`` over the rows of ``vertices`` by a direct solve.
+
+    ``lstsq`` on the augmented system [vertices^T; 1^T] w = [p; 1], no
+    nonnegativity constraint; rounding negatives are clipped to 0 and the
+    result renormalized.  Unique on a frame (affinely independent rows).
+    """
+    a = np.vstack([vertices.T, np.ones(vertices.shape[0])])
+    w = np.clip(np.linalg.lstsq(a, np.append(p, 1.0), rcond=None)[0], 0.0, None)
+    return w / w.sum()
+
+
 def dense_counts(x) -> np.ndarray:
     """The (n_docs, n_terms) float array of a DocTermMatrix's counts."""
     out = np.zeros((x.n_docs, x.n_terms))

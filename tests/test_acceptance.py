@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from oracles import towers_by_dfs
+from oracles import barycentric_by_lstsq, towers_by_dfs
 from simplexmix.admixture import em_fit, synthetic_corpus, two_stage
 from simplexmix.asymptotics import (
     ExperimentConfig,
@@ -139,7 +139,7 @@ def test_criterion_06_hausdorff_convergence():
 
 
 def test_criterion_07_choquet_round_trip():
-    with criterion(7, "1000 frames: reconstruct o measure = id and solver agreement, 1e-8"):
+    with criterion(7, "1000 frames: reconstruct o measure = id and agreement with lstsq, 1e-8"):
         rng = np.random.default_rng(77)
         done = 0
         while done < 1000:
@@ -153,10 +153,9 @@ def test_criterion_07_choquet_round_trip():
                 continue
             truth = rng.dirichlet(np.ones(j))
             p = frame.vertices.T @ truth
-            direct = choquet_measure(p, frame, solver="direct")
-            viannls = choquet_measure(p, frame, solver="nnls")
-            assert np.max(np.abs(reconstruct(direct, frame) - p)) <= 1e-8
-            assert np.max(np.abs(direct.weights - viannls.weights)) <= 1e-8
+            measure = choquet_measure(p, frame)
+            assert np.max(np.abs(reconstruct(measure, frame) - p)) <= 1e-8
+            assert np.max(np.abs(measure.weights - barycentric_by_lstsq(p, frame.vertices))) <= 1e-8
             done += 1
 
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.optimize
 
+from oracles import barycentric_by_lstsq
 from simplexmix.choquet import (
     FrameConditionError,
     OutsideHullError,
@@ -9,6 +11,7 @@ from simplexmix.choquet import (
     make_frame,
     reconstruct,
 )
+from simplexmix.hull import point_to_hull_distance
 
 
 def random_frame(rng, j, cond_cap=1e4):
@@ -21,6 +24,19 @@ def random_frame(rng, j, cond_cap=1e4):
             continue
         if frame.cond <= cond_cap:
             return frame
+
+
+def count_solves(monkeypatch) -> list:
+    """A list that grows by one per scipy.optimize.nnls call; hull imports
+    nnls at its call, so the wrapper is set on scipy.optimize itself."""
+    calls = []
+
+    def counted(*args, _nnls=scipy.optimize.nnls, **kwargs):
+        calls.append(1)
+        return _nnls(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "nnls", counted)
+    return calls
 
 
 class TestMakeFrame:
@@ -85,20 +101,28 @@ class TestChoquetMeasure:
             j = int(rng.integers(2, 6))
             frame = random_frame(rng, j)
             p = frame.vertices.T @ rng.dirichlet(np.ones(j))
-            direct = choquet_measure(p, frame, solver="direct").weights
-            viannls = choquet_measure(p, frame, solver="nnls").weights
-            np.testing.assert_allclose(direct, viannls, atol=1e-8)
+            direct = barycentric_by_lstsq(p, frame.vertices)
+            np.testing.assert_allclose(choquet_measure(p, frame).weights, direct, atol=1e-8)
+
+    def test_one_solve(self, monkeypatch):
+        frame = random_frame(np.random.default_rng(9), 4)
+        calls = count_solves(monkeypatch)
+        choquet_measure(frame.vertices.T @ np.array([0.1, 0.2, 0.3, 0.4]), frame)
+        assert len(calls) == 1
+
+    def test_vertex_needs_no_solve(self, monkeypatch):
+        frame = make_frame(np.eye(3))
+        calls = count_solves(monkeypatch)
+        w = choquet_measure([0.0, 1.0, 0.0], frame)
+        assert w.weights.tolist() == [0.0, 1.0, 0.0]
+        assert not calls
 
     def test_outside_point_rejected_with_distance(self):
         frame = make_frame(np.array([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]))
         with pytest.raises(OutsideHullError) as err:
             choquet_measure([1.0, 0.0, 0.0], frame)
         assert err.value.distance > 0.01
-
-    def test_unknown_solver(self):
-        frame = make_frame(np.eye(2))
-        with pytest.raises(ValueError, match="solver"):
-            choquet_measure([0.5, 0.5], frame, solver="magic")
+        assert err.value.distance == point_to_hull_distance([1.0, 0.0, 0.0], frame.vertices)
 
 
 class TestReconstruct:

@@ -103,6 +103,17 @@ class TestGrowthCommand:
                      "--out", str(tmp_path / "g"), "--manifest", str(tmp_path / "m.json")])
         assert code == 2
 
+    @pytest.mark.parametrize("command, flag, spec, key", [
+        ("growth", "--sampler", {"J": 3, "seed": 1}, "kind"),
+        ("growth", "--sampler", {"kind": "uniform", "J": 3}, "seed"),
+        ("gamma", "--sampler-g", {"kind": "point-mass", "J": 3, "seed": 1, "atoms": [[1, 0, 0], [0, 1, 0]]}, "weights"),
+    ])
+    def test_sampler_json_missing_key_exits_2(self, tmp_path, capsys, command, flag, spec, key):
+        code = main([command, "--J", "3", "--n-grid", "10,20", "--reps", "2", flag, json.dumps(spec),
+                     "--out", str(tmp_path / "g"), "--manifest", str(tmp_path / "m.json")])
+        assert code == 2
+        assert f"lacks the key '{key}'" in capsys.readouterr().err
+
 
 class TestSeedFlag:
     @pytest.mark.parametrize("command, flag, sampler", [
@@ -226,6 +237,14 @@ class TestChoquetCommand:
         np.savetxt(frame, np.array([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]), delimiter=",")
         assert main(["choquet", "--frame", str(frame), "--p", "1,0,0",
                      "--manifest", str(tmp_path / "m.json")]) == 2
+
+    def test_solver_flag_is_gone(self, tmp_path):
+        frame = tmp_path / "frame.csv"
+        np.savetxt(frame, np.eye(3), delimiter=",")
+        with pytest.raises(SystemExit) as exc:
+            main(["choquet", "--frame", str(frame), "--p", "0.2,0.3,0.5", "--solver", "nnls",
+                  "--manifest", str(tmp_path / "m.json")])
+        assert exc.value.code == 2
 
 
 class TestPolyaCommand:

@@ -17,7 +17,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .choquet import ChoquetMeasure, choquet_measure, make_frame
 from .hull import EXTREME_TOL, PointSet, _centered_svd, extremal_set, pca_project, point_to_hull_distance
@@ -302,6 +301,8 @@ def em_fit(
     ``AdmixtureModel.stop`` says which rule ended the restart.  Ties between
     restarts keep the lowest index.
     """
+    from scipy.sparse import csr_matrix
+
     if l_comp < 1:
         raise ValueError(f"need at least one component, got {l_comp}")
     if restarts < 1:

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, gammaln
 
 from .hull import PointSet, extremal_set, point_to_hull_distance
 from .simplex import SamplerSpec, _map_indexed, child_seed, sample
@@ -194,6 +193,8 @@ def fit_growth(curve: GrowthCurve) -> GrowthFit:
 
 def normal_cdf(x) -> np.ndarray:
     """Standard normal CDF via erf (absolute error below 1e-12)."""
+    from scipy.special import erf
+
     x = np.asarray(x, dtype=np.float64)
     return 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
 
@@ -299,6 +300,8 @@ def definetti_bound(m: int, L: int) -> ExchangeabilityBound:
 
     Requires 1 <= L <= m.  Always satisfies beta <= L(L-1)/(2m).
     """
+    from scipy.special import gammaln
+
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
     if L > m:

@@ -16,6 +16,10 @@ A margin above the tolerance proves the candidate extreme in one vectorized
 pass; only the candidates it cannot settle run the distance test, against all
 other points.  The pure per-point distance route remains available and is
 used as a fallback, so every route applies the same rule.
+
+scipy's ``spatial`` (qhull) and ``optimize`` (``nnls``) take tenths of a
+second to import, so each is imported inside the function that calls it and
+loaded at that function's first call; importing this module loads numpy only.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 __all__ = [
     "EXTREME_TOL",
@@ -182,7 +185,7 @@ def _hull_distance(p: np.ndarray, pts: np.ndarray) -> tuple[float, np.ndarray]:
     that is exact up to rounding.  When ``p`` is one of the rows, lam is that
     row's unit vector and no solve runs.  ``pts`` must have at least one row.
     """
-    from scipy.optimize import nnls  # ~0.3 s to import, so loaded on the first solve
+    from scipy.optimize import nnls  # loaded at the first solve, see the module docstring
 
     y = pts - p
     hit = ~y.any(axis=1)
@@ -276,9 +279,9 @@ def _perpoint_keep(z: np.ndarray, rows=None) -> np.ndarray:
     return np.asarray(keep, dtype=np.int64)
 
 
-def _normal_sums(hull: ConvexHull, rows: np.ndarray) -> np.ndarray:
+def _normal_sums(hull, rows: np.ndarray) -> np.ndarray:
     """(len(rows), r) sums of the unit outward normals of the facets at each
-    hull vertex listed in ``rows``.
+    vertex listed in ``rows`` of ``hull``, a ``scipy.spatial.ConvexHull``.
 
     One ``np.bincount`` per coordinate over the facets' vertex lists.  It adds
     each facet's normal in facet order from 0.0, as an unbuffered
@@ -290,10 +293,10 @@ def _normal_sums(hull: ConvexHull, rows: np.ndarray) -> np.ndarray:
     return np.stack([np.bincount(vertex, weights=normal)[rows] for normal in normals], axis=1)
 
 
-def _certified(z: np.ndarray, hull: ConvexHull, cand: np.ndarray) -> np.ndarray:
+def _certified(z: np.ndarray, hull, cand: np.ndarray) -> np.ndarray:
     """Mask over ``cand``: True where a separating direction proves the
     candidate farther than ``EXTREME_TOL`` from the hull of all other rows of
-    ``z``.
+    ``z``, whose ``scipy.spatial.ConvexHull`` is ``hull``.
 
     Candidate a gets u_a, the normalized sum of the unit normals of its
     incident facets.  Every y in the hull of the other rows has u_a.y <=
@@ -356,6 +359,8 @@ def extremal_set(ps, method: str = "auto") -> ExtremalSet:
         return ExtremalSet(np.unique([int(np.argmin(coord)), int(np.argmax(coord))]))
     if method == "perpoint" or n <= r + 1 or r > _QHULL_MAX_DIM:
         return ExtremalSet(_perpoint_keep(z))
+    from scipy.spatial import ConvexHull, QhullError
+
     try:
         hull = ConvexHull(z)
     except QhullError:

@@ -51,7 +51,7 @@ def validate(v) -> np.ndarray:
         raise ValueError("vector has non-finite coordinates")
     low = arr.min()
     if low < -NEGATIVE_TOL:
-        raise ValueError(f"negative coordinate {low!r} below tolerance -{NEGATIVE_TOL}")
+        raise ValueError(f"negative coordinate {float(low)!r} below tolerance -{NEGATIVE_TOL}")
     if low < 0.0:
         arr = np.clip(arr, 0.0, None)
     total = float(arr.sum())
@@ -129,9 +129,16 @@ class SamplerSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "SamplerSpec":
+        """Parse a ``to_json`` object.  A key that is not a field, or
+        ``weights`` without ``atoms``, raises ``ValueError``: none is dropped."""
         obj = json.loads(text)
         if not isinstance(obj, dict):
             raise ValueError("sampler JSON must be an object")
+        unknown = sorted(set(obj) - {"kind", "J", "seed", "alpha", "atoms", "weights"})
+        if unknown:
+            raise ValueError(f"sampler JSON has the unknown key(s) {', '.join(map(repr, unknown))}")
+        if "weights" in obj and "atoms" not in obj:
+            raise ValueError("sampler JSON has the key 'weights' without the key 'atoms'")
         kwargs = {}
         try:
             if "alpha" in obj:

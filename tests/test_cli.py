@@ -114,6 +114,17 @@ class TestGrowthCommand:
         assert code == 2
         assert f"lacks the key '{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec, key", [
+        ({"kind": "uniform", "J": 3, "seed": 1, "weights": [0.5]}, "'weights'"),
+        ({"kind": "dirichlet", "J": 3, "seed": 1, "alpha": [1, 1, 1], "alfa": [2, 2, 2]}, "'alfa'"),
+    ])
+    def test_sampler_json_stray_key_exits_2(self, tmp_path, capsys, spec, key):
+        code = main(["growth", "--J", "3", "--n-grid", "10,20", "--reps", "2", "--sampler", json.dumps(spec),
+                     "--out", str(tmp_path / "g"), "--manifest", str(tmp_path / "m.json")])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "m.json")
+
 
 class TestSeedFlag:
     @pytest.mark.parametrize("command, flag, sampler", [
@@ -470,29 +481,45 @@ class TestOptionalJsonOut:
         assert manifest["config"]["out"] is None and manifest["outputs"] == {}
 
 
-class TestSolverImportDeferred:
-    """scipy.optimize takes about a third of a second to import and is needed
-    only by an NNLS solve, which growth and clt skip when the certificate
-    settles every candidate.  A fresh interpreter is used because other test
-    modules import scipy.optimize into this one."""
+class TestScipyImportDeferred:
+    """Importing scipy.spatial, scipy.sparse, scipy.special or
+    scipy.optimize costs a process a few tenths of a second, so each is
+    imported only by the function that calls it, at its first call.  A fresh
+    interpreter is used because other test modules import scipy into this
+    one."""
 
-    # At seed 0 no cloud of these runs leaves a candidate unsettled (growth
-    # seed 22 on the same grid does, and would load the solver).
+    # At seed 0 no cloud of the growth and clt runs leaves a candidate
+    # unsettled, so neither needs an NNLS solve (growth seed 22 on the same
+    # grid does, and would load scipy.optimize).  growth --threads 2 makes
+    # the process's first ConvexHull call from two pool threads at once.
     SCRIPT = """
 import sys
 import simplexmix, simplexmix.cli
-assert "scipy.optimize" not in sys.modules, "loaded by import"
+
+def loaded(name):
+    return any(m == name or m.startswith(name + ".") for m in sys.modules)
+
 out, main = sys.argv[1], simplexmix.cli.main
+
+def run(argv):
+    assert main(argv + ["--out", out + "/o", "--manifest", out + "/m.json"]) == 0, argv[0]
+
+assert not loaded("scipy"), "scipy loaded by import"
+run(["polya", "--true-weights", "0.5,0.3,0.2", "--k-grid", "10,100"])
+assert not loaded("scipy"), "scipy loaded by polya"
+run(["definetti", "--m", "100", "--L", "5"])
+assert loaded("scipy.special"), "definetti ran without scipy.special"
+assert not loaded("scipy.spatial") and not loaded("scipy.sparse"), "definetti loaded the hull or EM modules"
 for argv in (["growth", "--J", "5", "--n-grid", "1000,3162,10000", "--reps", "1", "--threads", "2"],
              ["clt", "--J", "3", "--n", "1000", "--reps", "100"]):
-    assert main(argv + ["--seed", "0", "--out", out + "/o", "--manifest", out + "/m.json"]) == 0
-    assert "scipy.optimize" not in sys.modules, "loaded by " + argv[0]
-assert main(["hull-limit", "--J", "3", "--n-grid", "10,100", "--out", out + "/h",
-             "--manifest", out + "/m.json"]) == 0
-assert "scipy.optimize" in sys.modules, "hull-limit ran without a solve"
+    run(argv + ["--seed", "0"])
+    assert not loaded("scipy.optimize"), "scipy.optimize loaded by " + argv[0]
+assert loaded("scipy.spatial"), "growth ran without qhull"
+run(["hull-limit", "--J", "3", "--n-grid", "10,100"])
+assert loaded("scipy.optimize"), "hull-limit ran without a solve"
 """
 
-    def test_loaded_only_by_a_solve(self, tmp_path):
+    def test_loaded_only_at_first_call(self, tmp_path):
         src = str(Path(hull.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run([sys.executable, "-c", self.SCRIPT, str(tmp_path)],

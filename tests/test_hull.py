@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.spatial
 from scipy.spatial import ConvexHull
 
 from oracles import (
@@ -264,6 +265,19 @@ class TestExtremalSet:
                 extremal_set(ps, method="auto").indices,
                 extremal_set(ps, method="perpoint").indices,
             )
+
+    def test_qhull_failure_falls_back_to_distance_scan(self, monkeypatch):
+        calls = []
+
+        def failing(z, *args, **kwargs):
+            calls.append(z.shape)
+            raise scipy.spatial.QhullError("forced failure")
+
+        ps = PointSet(sample(SamplerSpec("uniform", 3, 41), 60))
+        monkeypatch.setattr(scipy.spatial, "ConvexHull", failing)
+        es = extremal_set(ps)
+        assert calls == [(ps.n, 2)]
+        np.testing.assert_array_equal(es.indices, extremal_set(ps, method="perpoint").indices)
 
     def test_auto_agrees_with_perpoint_higher_rank(self):
         # rank 4: the qhull shortlist runs in 4-D coordinates

@@ -16,7 +16,8 @@ class TestValidate:
         np.testing.assert_allclose(validate([1.0, 1.0]), [0.5, 0.5])
 
     def test_negative_coordinate_rejected(self):
-        with pytest.raises(ValueError, match="negative"):
+        # the value prints as a Python float, not as np.float64(-0.5)
+        with pytest.raises(ValueError, match=r"^negative coordinate -0\.5 below tolerance -1e-12$"):
             validate([-0.5, 1.5])
 
     def test_tiny_negative_clipped(self):
@@ -69,6 +70,16 @@ class TestSamplerSpec:
         assert SamplerSpec.from_json(spec.to_json()) == spec
         d = SamplerSpec("dirichlet", 2, 7, alpha=(2.0, 3.0))
         assert SamplerSpec.from_json(d.to_json()) == d
+        p = SamplerSpec("point-mass", 2, 5, atoms=((1.0, 0.0), (0.5, 0.5)), weights=(0.25, 0.75))
+        assert SamplerSpec.from_json(p.to_json()) == p
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"kind":"uniform","J":3,"seed":1,"weights":[0.5]}', "'weights'"),
+        ('{"kind":"dirichlet","J":3,"seed":1,"alpha":[1,1,1],"alfa":[2,2,2]}', "'alfa'"),
+    ])
+    def test_json_stray_key_rejected(self, text, key):
+        with pytest.raises(ValueError, match=key):
+            SamplerSpec.from_json(text)
 
 
 class TestSample:

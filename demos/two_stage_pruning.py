@@ -29,6 +29,5 @@ f_full[:, report.term_remap] = report.model.f
 tv = 0.5 * np.abs(f_full[:, None, :] - f_star[None, :, :]).sum(axis=2)
 rows, cols = linear_sum_assignment(tv)
 print("matched TV distances to true components:", np.round(tv[rows, cols], 5))
-if report.choquet_weights is not None:
-    print("per-document weight vectors available:", report.choquet_weights.shape)
+print("per-document mixing weights:", report.model.phi.shape)
 print("note:", report.choquet_note)

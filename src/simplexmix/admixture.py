@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .choquet import ChoquetMeasure, choquet_measure, make_frame
+from .choquet import make_frame
 from .hull import EXTREME_TOL, PointSet, _centered_svd, extremal_set, pca_project, point_to_hull_distance
 from .simplex import _map_indexed, child_seed
 
@@ -33,7 +33,6 @@ __all__ = [
     "em_fit",
     "identifiability_check",
     "two_stage",
-    "choquet_from_fit",
     "synthetic_corpus",
 ]
 
@@ -41,8 +40,6 @@ _EM_SMOOTHING = 1e-10
 # EM stops once one iteration raises the log-likelihood by at most this
 # fraction of its magnitude.
 _EM_REL_TOL = 1e-8
-# choquet_from_fit's read-off and re-solved weights must agree to this.
-_READOFF_TOL = 1e-6
 
 
 def _check_pair_key(n_docs, n_terms, what: str) -> None:
@@ -76,8 +73,8 @@ class DocTermMatrix:
                 raise ValueError("term id out of range")
             if cnt.min() < 1:
                 raise ValueError("counts must be positive integers")
-            key = np.sort(doc * self.n_terms + term)
-            if np.any(key[1:] == key[:-1]):
+            key = doc * self.n_terms + term
+            if not _increasing(key) and not _increasing(np.sort(key)):
                 raise ValueError("duplicate (doc, term) pairs; merge them before construction")
         for arr in (doc, term, cnt):
             arr.setflags(write=False)
@@ -106,11 +103,18 @@ def load_docword(source) -> DocTermMatrix:
     ``source`` is a path (``str`` or path-like), the file's ``bytes``, or a
     file object whose ``read()`` returns ``bytes`` or ``str``.  The content
     is three header lines (D, W, NNZ) followed by NNZ lines "docID wordID
-    count" with 1-indexed ids; blank lines are skipped.  Duplicate (doc, term)
-    pairs are summed into the first occurrence; ids come back 0-indexed.
-    Declared dimensions are kept even if some terms never occur.  The first
+    count" with 1-indexed ids; blank lines (empty or whitespace only, as
+    ``str.strip`` sees it) are skipped.  Duplicate (doc, term) pairs are
+    summed into the first occurrence; ids come back 0-indexed.  Declared
+    dimensions are kept even if some terms never occur.  The first
     malformed line is named when the body does not parse; out-of-range ids
     and non-positive counts are reported for the first line that has one.
+
+    The body is parsed by one ``np.loadtxt`` over its lines, which skips
+    the same blank lines; only when that fails, or finds other than NNZ
+    rows of three, are the blank lines filtered out to name the error.
+    Bodies whose (doc, term) pairs strictly increase, as UCI files do, skip
+    the merge of duplicates.
     """
     if hasattr(source, "read"):
         raw = source.read()
@@ -123,27 +127,41 @@ def load_docword(source) -> DocTermMatrix:
             raw = fh.read()
     else:
         raise TypeError(f"cannot read docword data from {type(source)!r}")
-    lines = list(filter(str.strip, raw.decode("utf-8").splitlines()))
-    if len(lines) < 3:
+    lines = raw.decode("utf-8").splitlines()
+    header, start = [], 0
+    while len(header) < 3 and start < len(lines):
+        if lines[start].strip():
+            header.append(lines[start])
+        start += 1
+    if len(header) < 3:
         raise ValueError("malformed header: expected three lines D, W, NNZ")
     try:
-        n_docs, n_terms, nnz = (int(lines[i].strip()) for i in range(3))
+        n_docs, n_terms, nnz = (int(line.strip()) for line in header)
     except ValueError as exc:
         raise ValueError(f"malformed header: {exc}") from None
     if n_docs < 0 or n_terms < 0 or nnz < 0:
         raise ValueError("malformed header: negative dimension")
     _check_pair_key(n_docs, n_terms, "header too large")
-    body = lines[3:]
-    if len(body) != nnz:
-        raise ValueError(f"header declares NNZ={nnz} but body has {len(body)} entries")
-    table = np.zeros((0, 3), dtype=np.int64)
-    if body:
+    body = lines[start:]
+    table = None
+    if nnz and any(map(str.strip, body)):  # loadtxt warns on a body with no data
         try:
             table = np.loadtxt(body, dtype=np.int64, comments=None, ndmin=2)
-        except ValueError as exc:
-            raise _malformed_line(body, exc) from None
-        if table.shape[1] != 3:  # every line has the same wrong token count
-            raise ValueError(f"malformed triplet line: {body[0]!r}")
+        except ValueError:
+            pass
+    if table is None or table.shape != (nnz, 3):
+        # Parse the non-blank lines alone, to name what is wrong.
+        body = list(filter(str.strip, body))
+        if len(body) != nnz:
+            raise ValueError(f"header declares NNZ={nnz} but body has {len(body)} entries")
+        table = np.zeros((0, 3), dtype=np.int64)
+        if body:
+            try:
+                table = np.loadtxt(body, dtype=np.int64, comments=None, ndmin=2)
+            except ValueError as exc:
+                raise _malformed_line(body, exc) from None
+            if table.shape[1] != 3:  # every line has the same wrong token count
+                raise ValueError(f"malformed triplet line: {body[0]!r}")
     doc, term, cnt = np.ascontiguousarray(table.T)
     bad = (doc < 1) | (doc > n_docs) | (term < 1) | (term > n_terms) | (cnt < 1)
     if bad.any():
@@ -153,17 +171,25 @@ def load_docword(source) -> DocTermMatrix:
             raise ValueError(f"document id {d} out of range 1..{n_docs}")
         if not 1 <= w <= n_terms:
             raise ValueError(f"term id {w} out of range 1..{n_terms}")
-        raise ValueError(f"count must be positive, got {c} on line {body[i]!r}")
+        line = list(filter(str.strip, body))[i]
+        raise ValueError(f"count must be positive, got {c} on line {line!r}")
     doc, term = doc - 1, term - 1
-    _, first, inverse = np.unique(doc * n_terms + term, return_index=True, return_inverse=True)
-    if first.size < doc.size:
-        # Sum each pair's counts into its first occurrence, keeping that order.
-        order = np.argsort(first)
-        merged = np.zeros(first.size, dtype=np.int64)
-        np.add.at(merged, inverse, cnt)
-        keep = first[order]
-        doc, term, cnt = doc[keep], term[keep], merged[order]
+    key = doc * n_terms + term
+    if not _increasing(key):
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        if first.size < doc.size:
+            # Sum each pair's counts into its first occurrence, keeping that order.
+            order = np.argsort(first)
+            merged = np.zeros(first.size, dtype=np.int64)
+            np.add.at(merged, inverse, cnt)
+            keep = first[order]
+            doc, term, cnt = doc[keep], term[keep], merged[order]
     return DocTermMatrix(n_docs=n_docs, n_terms=n_terms, doc_ids=doc, term_ids=term, counts=cnt)
+
+
+def _increasing(key: np.ndarray) -> bool:
+    """Whether the keys strictly increase, so that none repeats."""
+    return bool(np.all(key[1:] > key[:-1]))
 
 
 def _malformed_line(body: list, exc: ValueError) -> ValueError:
@@ -224,10 +250,8 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
 
     One vector add per column, where ``a.sum(axis=1)`` runs a short inner
     loop per row; the order ((a0 + a1) + a2) + ... is fixed for every L.
-    Each add is a strided pass over the whole array, so for pi this is
-    faster than ``einsum`` only at small L: ``em_fit`` took about 20% less
-    time at L = 3 and 10% less at L = 6, broke even at L = 8 to 10, and took
-    about 5% more at L = 12 and 13% more at L = 16.
+    ``em_fit`` passes the transposes of its (L, docs) Phi and of its (L, nnz)
+    starting responsibilities, whose columns are contiguous rows.
     """
     total = a[:, 0].copy()
     for l in range(1, a.shape[1]):
@@ -235,41 +259,54 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     return total
 
 
+def _pi(phi_t: np.ndarray, f: np.ndarray, doc: np.ndarray, term: np.ndarray) -> np.ndarray:
+    """pi_e = (phi @ F)[doc_e, term_e] from the (L, docs) rows of Phi.T, one
+    component at a time: pi = phi_t[0][doc] * f[0][term], then
+    pi += phi_t[l][doc] * f[l][term].  These are the products and adds of
+    summing the (nnz, L) array phi[doc] * F.T[term] by ``_row_sums``, in the
+    same order, so pi is the same to the bit; each step is a 1-D gather from
+    one contiguous row.
+    """
+    pi = phi_t[0][doc] * f[0][term]
+    for l in range(1, f.shape[0]):
+        pi += phi_t[l][doc] * f[l][term]
+    return pi
+
+
 def log_likelihood(x: DocTermMatrix, phi: np.ndarray, f: np.ndarray) -> float:
     """sum_ij x_ij log((phi @ f)_ij), the parameter-dependent likelihood part.
 
-    Each pi_e = (phi @ f)[doc_e, term_e] adds its L products left to right,
-    as ``em_fit`` does, so every pi_e agrees with ``em_fit``'s bit for bit.
-    The final sum over entries runs in ``x``'s triplet order, where
-    ``em_fit`` sums in document order, so the two log-likelihoods agree up
-    to the rounding of that one dot product.  The left-to-right order
-    replaced the order of ``einsum``, which moved ``fit-admixture`` outputs
-    and log-likelihoods in the last bit, once.
+    Each pi_e comes from ``_pi``, as in ``em_fit``, so every pi_e agrees
+    with ``em_fit``'s bit for bit.  The final sum over entries runs in
+    ``x``'s triplet order, where ``em_fit`` sums in document order, so the
+    two log-likelihoods agree up to the rounding of that one dot product.
     """
-    pi = _row_sums(np.take(phi, x.doc_ids, axis=0) * np.take(f.T, x.term_ids, axis=0))
+    pi = _pi(phi.T, f, x.doc_ids, x.term_ids)
     if np.any(pi <= 0.0):
         return -math.inf
     return float(x.counts @ np.log(pi))
 
 
-def _smoothed(phi: np.ndarray, f: np.ndarray):
-    """Add ``_EM_SMOOTHING`` against exact zeros and renormalize the rows, in place."""
-    phi += _EM_SMOOTHING
+def _smoothed(phi_t: np.ndarray, f: np.ndarray):
+    """Add ``_EM_SMOOTHING`` against exact zeros and renormalize, in place,
+    each document's column of the (L, docs) Phi.T and each row of F."""
+    phi_t += _EM_SMOOTHING
     f += _EM_SMOOTHING
-    phi /= _row_sums(phi)[:, None]
+    phi_t /= _row_sums(phi_t.T)
     f /= f.sum(axis=1, keepdims=True)
-    return phi, f
+    return phi_t, f
 
 
-def _m_step(x: DocTermMatrix, resp: np.ndarray, l_comp: int):
-    """Normalized phi and F from responsibilities (nnz, L); starts each EM restart."""
-    weighted = resp * x.counts[:, None]
-    phi = np.zeros((x.n_docs, l_comp))
-    f = np.zeros((l_comp, x.n_terms))
-    for l in range(l_comp):
-        phi[:, l] = np.bincount(x.doc_ids, weights=weighted[:, l], minlength=x.n_docs)
-        f[l] = np.bincount(x.term_ids, weights=weighted[:, l], minlength=x.n_terms)
-    return _smoothed(phi, f)
+def _m_step(x: DocTermMatrix, resp_t: np.ndarray):
+    """Normalized Phi.T (L, docs) and F from the (L, nnz) transpose of the
+    responsibilities; starts each EM restart."""
+    weighted = resp_t * x.counts
+    phi_t = np.zeros((resp_t.shape[0], x.n_docs))
+    f = np.zeros((resp_t.shape[0], x.n_terms))
+    for l, w in enumerate(weighted):
+        phi_t[l] = np.bincount(x.doc_ids, weights=w, minlength=x.n_docs)
+        f[l] = np.bincount(x.term_ids, weights=w, minlength=x.n_terms)
+    return _smoothed(phi_t, f)
 
 
 def em_fit(
@@ -291,11 +328,17 @@ def em_fit(
     rows.  This equals the E-step (responsibilities proportional to
     phi[doc_e, l] * f[l, term_e]) followed by the count-weighted M-step, and
     counts @ log(pi) is the log-likelihood of the iterate being updated.
-    Every sum over components (pi_e, the phi row totals, the starting
-    responsibilities' totals) adds the L columns left to right, the same
-    order for every L.  This order replaced the order of ``einsum``, which
-    moved ``fit-admixture`` outputs in the last bit, once; it is faster than
-    ``einsum`` at small L and slower from L = 12 on (see ``_row_sums``).
+
+    Phi is held as its (L, docs) transpose until the restart ends, so pi is
+    built one component at a time from contiguous rows (``_pi``).  R is
+    stored twice: as a document-major CSR matrix for R @ F.T and as a
+    term-major one for R.T @ phi, which adds each term's entries in document
+    order.  Every sum over components (pi_e, the phi row totals, the
+    starting responsibilities' totals) adds the L terms left to right, the
+    same order for every L.  All of this gives the bits of the (docs, L)
+    layout this form replaced, in 40-60% less time at L = 16 and 58k
+    non-zeros and 11-15% less at L = 3 and 43k; at L = 16 and 2.9k
+    non-zeros the 4L numpy calls of pi make it 5-13% slower.
     The recorded trace is exactly non-decreasing: a float decrease (possible
     only at the numerical plateau) reverts to the previous iterate and stops.
     ``AdmixtureModel.stop`` says which rule ended the restart.  Ties between
@@ -314,25 +357,31 @@ def em_fit(
         raise ValueError(f"empty document (id {int(np.flatnonzero(totals == 0)[0])}); every document needs >= 1 token")
     if l_comp > x.total_tokens:
         raise ValueError(f"more components ({l_comp}) than tokens ({x.total_tokens})")
-    # The counts as a CSR matrix, triplets in document order; the restarts
-    # share its structure and each fills a data array of its own with R.
+    # The counts as a CSR matrix, triplets in document order, and the
+    # structure of its term-major twin; the restarts share both structures
+    # and each fills data arrays of its own with R.  The twin is the CSC form
+    # of the entry numbers, made by scipy's counting sort: each term's
+    # entries in document order, so its data is the stable argsort of term.
     order = np.argsort(x.doc_ids, kind="stable")
     doc, term = x.doc_ids[order], x.term_ids[order]
     indptr = np.concatenate(([0], np.cumsum(np.bincount(doc, minlength=x.n_docs))))
     counts = csr_matrix((x.counts[order].astype(np.float64), term, indptr), shape=(x.n_docs, x.n_terms))
+    twin = csr_matrix((np.arange(x.nnz), term, indptr), shape=counts.shape).tocsc()
+    by_term = twin.data
 
     def run_restart(restart: int) -> AdmixtureModel:
         rng = np.random.default_rng(child_seed(seed, restart))
-        resp = rng.standard_exponential(size=(x.nnz, l_comp))
-        resp /= _row_sums(resp)[:, None]
-        phi, f = _m_step(x, resp, l_comp)
+        resp_t = rng.standard_exponential(size=(x.nnz, l_comp)).T.copy()
+        resp_t /= _row_sums(resp_t.T)
+        phi_t, f = _m_step(x, resp_t)
         ratio = csr_matrix((np.empty(x.nnz), counts.indices, counts.indptr), shape=counts.shape)
+        ratio_t = csr_matrix((np.empty(x.nnz), twin.indices, twin.indptr), shape=(x.n_terms, x.n_docs))
         trace, previous = [], None
         while True:
-            pi = _row_sums(np.take(phi, doc, axis=0) * np.take(f.T, term, axis=0))
+            pi = _pi(phi_t, f, doc, term)
             ll = float(counts.data @ np.log(pi)) if pi.min() > 0.0 else -math.inf
             if trace and ll < trace[-1]:
-                phi, f = previous  # numerical plateau; keep the previous iterate
+                phi_t, f = previous  # numerical plateau; keep the previous iterate
                 stop = "plateau"
                 break
             trace.append(ll)
@@ -343,10 +392,12 @@ def em_fit(
                 stop = "max_iters"
                 break
             np.divide(counts.data, pi, out=ratio.data)
-            previous = phi, f
-            phi, f = _smoothed(phi * (ratio @ f.T), f * (ratio.T @ phi).T)
+            # by_term is a permutation, so "clip" changes nothing; "raise" would copy out
+            np.take(ratio.data, by_term, out=ratio_t.data, mode="clip")
+            previous = phi_t, f
+            phi_t, f = _smoothed(phi_t * (ratio @ f.T).T, f * (ratio_t @ phi_t.T).T)
         return AdmixtureModel(
-            phi=phi,
+            phi=np.ascontiguousarray(phi_t.T),
             f=f,
             loglik=trace[-1],
             n_iters=len(trace) - 1,
@@ -383,6 +434,7 @@ class RoundRecord:
     l_components: int
     loglik: float
     n_iters: int
+    stop: str  # why the best restart's EM stopped (``AdmixtureModel.stop``)
     pca_dim: int
     explained_variance: np.ndarray
     extrema_count: int
@@ -396,7 +448,6 @@ class PipelineReport:
     model: AdmixtureModel
     final_m: int
     identifiable: np.ndarray
-    choquet_weights: np.ndarray | None
     choquet_note: str
     term_remap: np.ndarray
     warnings: tuple
@@ -465,6 +516,10 @@ def two_stage(
             seed=child_seed(seed, round_index),
             threads=threads,
         )
+        if model.stop == "max_iters":
+            warnings.append(
+                f"round {round_index}: EM stopped at the iteration cap ({model.n_iters}) before converging"
+            )
         m, attained_dim, evr = _count_extrema(model.f, pca_dim, warnings)
         rounds.append(
             RoundRecord(
@@ -472,6 +527,7 @@ def two_stage(
                 l_components=l_current,
                 loglik=model.loglik,
                 n_iters=model.n_iters,
+                stop=model.stop,
                 pca_dim=attained_dim,
                 explained_variance=evr,
                 extrema_count=m,
@@ -484,14 +540,12 @@ def two_stage(
         identifiable = identifiability_check(model.f)
     else:
         identifiable = np.asarray([True])
-    choquet_weights, note = _choquet_readoff(model)
     return PipelineReport(
         rounds=tuple(rounds),
         model=model,
         final_m=m,
         identifiable=identifiable,
-        choquet_weights=choquet_weights,
-        choquet_note=note,
+        choquet_note=_choquet_note(model),
         term_remap=kept,
         warnings=tuple(warnings),
         l0=l0,
@@ -500,40 +554,16 @@ def two_stage(
     )
 
 
-def _choquet_readoff(model: AdmixtureModel):
+def _choquet_note(model: AdmixtureModel) -> str:
+    """Whether each document's mixing row is also its barycentric weight
+    vector over the fitted components, and why not when it is not."""
     if model.f.shape[0] != model.f.shape[1]:
-        return None, (
-            f"non-simplex regime: {model.f.shape[0]} components in dimension {model.f.shape[1]}"
-        )
+        return f"non-simplex regime: {model.f.shape[0]} components in dimension {model.f.shape[1]}"
     try:
         make_frame(model.f)
     except (ValueError, RuntimeError) as exc:
-        return None, f"components do not form a valid frame: {exc}"
-    return model.phi.copy(), "weights read off the mixing matrix (pi_i = phi_i @ F)"
-
-
-def choquet_from_fit(model: AdmixtureModel) -> list[ChoquetMeasure]:
-    """Barycentric weights of each document over the fitted components.
-
-    Requires as many components as term dimensions and a valid frame.  The
-    weights are the mixing rows read off directly; each document's
-    pi_i = phi_i @ F is also independently re-solved over the frame, and a
-    disagreement beyond ``_READOFF_TOL`` raises.
-    """
-    if model.f.shape[0] != model.f.shape[1]:
-        raise ValueError(
-            f"non-simplex regime: {model.f.shape[0]} components in dimension {model.f.shape[1]}"
-        )
-    frame = make_frame(model.f)
-    measures = [ChoquetMeasure(weights=row) for row in model.phi]
-    pi = model.phi @ model.f
-    for i, measure in enumerate(measures):
-        resolved = choquet_measure(pi[i], frame)
-        if np.max(np.abs(resolved.weights - measure.weights)) > _READOFF_TOL:
-            raise RuntimeError(
-                f"read-off weights and re-solved weights disagree beyond {_READOFF_TOL:g} at document {i}"
-            )
-    return measures
+        return f"components do not form a valid frame: {exc}"
+    return "weights read off the mixing matrix (pi_i = phi_i @ F)"
 
 
 def synthetic_corpus(

@@ -301,6 +301,7 @@ def _cmd_fit_admixture(args) -> list[str]:
                     "components": r.l_components,
                     "loglik": r.loglik,
                     "iterations": r.n_iters,
+                    "stop": r.stop,
                     "pca_dim_attained": r.pca_dim,
                     "explained_variance": r.explained_variance,
                     "extrema_count": r.extrema_count,

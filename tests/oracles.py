@@ -241,6 +241,73 @@ def em_reference(x, l_comp: int, max_iters: int, seed: int, restart: int, rel_to
     return phi, f, np.asarray(trace)
 
 
+def em_row_major(x, l_comp: int, max_iters: int, restarts: int, seed: int, rel_tol: float, smoothing: float):
+    """Admixture EM with Phi held as (docs, L) rows: the layout ``em_fit`` had
+    before it switched to one component at a time.
+
+    Each pi_e gathers the rows phi[doc_e] and f.T[term_e] into (nnz, L)
+    arrays, multiplies them, and adds the L columns left to right.  R @ F.T
+    and R.T @ Phi are products of a document-major CSR matrix with dense
+    (·, L) arrays.  Same start, stopping rules and tie-break as ``em_fit``.
+    Returns the best restart as (phi, f, loglik_trace, stop, restart).
+    """
+    from scipy.sparse import csr_matrix
+
+    from simplexmix.simplex import child_seed
+
+    def row_sums(a):
+        total = a[:, 0].copy()
+        for l in range(1, a.shape[1]):
+            total += a[:, l]
+        return total
+
+    def smoothed(phi, f):
+        phi += smoothing
+        f += smoothing
+        phi /= row_sums(phi)[:, None]
+        f /= f.sum(axis=1, keepdims=True)
+        return phi, f
+
+    order = np.argsort(x.doc_ids, kind="stable")
+    doc, term = x.doc_ids[order], x.term_ids[order]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(doc, minlength=x.n_docs))))
+    counts = csr_matrix((x.counts[order].astype(np.float64), term, indptr), shape=(x.n_docs, x.n_terms))
+    best = None
+    for restart in range(restarts):
+        rng = np.random.default_rng(child_seed(seed, restart))
+        resp = rng.standard_exponential(size=(x.nnz, l_comp))
+        resp /= row_sums(resp)[:, None]
+        weighted = resp * x.counts[:, None]
+        phi = np.zeros((x.n_docs, l_comp))
+        f = np.zeros((l_comp, x.n_terms))
+        for l in range(l_comp):
+            phi[:, l] = np.bincount(x.doc_ids, weights=weighted[:, l], minlength=x.n_docs)
+            f[l] = np.bincount(x.term_ids, weights=weighted[:, l], minlength=x.n_terms)
+        phi, f = smoothed(phi, f)
+        ratio = csr_matrix((np.empty(x.nnz), counts.indices, counts.indptr), shape=counts.shape)
+        trace, previous = [], None
+        while True:
+            pi = row_sums(np.take(phi, doc, axis=0) * np.take(f.T, term, axis=0))
+            ll = float(counts.data @ np.log(pi)) if pi.min() > 0.0 else -np.inf
+            if trace and ll < trace[-1]:
+                phi, f = previous
+                stop = "plateau"
+                break
+            trace.append(ll)
+            if len(trace) > 1 and abs(trace[-1] - trace[-2]) <= rel_tol * abs(trace[-2]):
+                stop = "converged"
+                break
+            if len(trace) > max_iters:
+                stop = "max_iters"
+                break
+            np.divide(counts.data, pi, out=ratio.data)
+            previous = phi, f
+            phi, f = smoothed(phi * (ratio @ f.T), f * (ratio.T @ phi).T)
+        if best is None or trace[-1] > best[2][-1]:
+            best = (phi, f, np.asarray(trace), stop, restart)
+    return best
+
+
 def docword_by_lines(raw: bytes):
     """The UCI docword layout parsed one line at a time with ``int``.
 

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from oracles import dense_counts, dense_log_likelihood, docword_by_lines, em_reference, permute_terms
+from oracles import dense_counts, dense_log_likelihood, docword_by_lines, em_reference, em_row_major, permute_terms
 from simplexmix import admixture
 from simplexmix.admixture import (
     DocTermMatrix,
-    choquet_from_fit,
     drop_zero_terms,
     em_fit,
     identifiability_check,
@@ -120,6 +119,11 @@ class TestDocwordParity:
             (b"2\n3\n2\n1 1 1\n1 0 1\n", "out of range"),
             (b"2\n3\n3\n1 1 1\n\n  \n1 2 1\n", "NNZ=3 but body has 2"),
             (b"2\n3\n1\n1 1 1\n1 2 x\n", "NNZ=1 but body has 2"),
+            (b"3\n5\n0\n1 1 1\n", "NNZ=0 but body has 1"),
+            ("2\n3\n2\n1 1 1\n\u3000\n".encode(), "NNZ=2 but body has 1"),
+            ("2\n3\n1\n1 1 1\n\u3000\n1 2 1\n".encode(), "NNZ=1 but body has 2"),
+            ("2\n3\n2\n\x1f\n1 1 1\n\n1 2 -4\n".encode(), "positive"),
+            (b"2\n3\n2\n1 1 1 1\n1 2 1 1\n", "malformed triplet line"),
         ],
     )
     def test_errors_match_line_parser(self, raw, fragment):
@@ -128,6 +132,65 @@ class TestDocwordParity:
         with pytest.raises(ValueError) as got:
             load_docword(raw)
         assert str(got.value) == str(expected.value)
+
+
+def _sorted_docword(rng, n_docs, n_terms, nnz, repeat=0.0, blanks=()):
+    """A docword file whose (doc, term) pairs increase line by line, as UCI
+    files do; a ``repeat`` share of lines is followed by a copy of its pair,
+    and lines holding only one of ``blanks`` are put anywhere."""
+    keys = np.sort(rng.choice(n_docs * n_terms, size=nnz, replace=False))
+    rows = []
+    for key in keys.tolist():
+        d, w = divmod(key, n_terms)
+        rows.append(f"{d + 1} {w + 1} {rng.integers(1, 9)}")
+        if rng.random() < repeat:
+            rows.append(f"{d + 1} {w + 1} {rng.integers(1, 9)}")
+    out = []
+    for ln in [str(n_docs), str(n_terms), str(len(rows)), *rows]:
+        if blanks and rng.random() < 0.2:
+            out.append(str(rng.choice(list(blanks))))
+        out.append(ln)
+    return ("\n".join(out) + "\n").encode()
+
+
+class TestDocwordLayouts:
+    """load_docword against the line-by-line oracle on the layouts its one
+    np.loadtxt pass and its skipped merge are for."""
+
+    def _check(self, raw):
+        x = load_docword(raw)
+        n_docs, n_terms, doc, term, counts = docword_by_lines(raw)
+        assert (x.n_docs, x.n_terms) == (n_docs, n_terms)
+        for got, expected in ((x.doc_ids, doc), (x.term_ids, term), (x.counts, counts)):
+            assert got.tolist() == expected.tolist()
+        return x
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sorted_without_duplicates(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        x = self._check(_sorted_docword(rng, 30, 12, 200))
+        key = x.doc_ids * x.n_terms + x.term_ids
+        assert x.nnz == 200 and np.all(np.diff(key) > 0)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_adjacent_duplicates_in_sorted_input(self, seed):
+        rng = np.random.default_rng(110 + seed)
+        raw = _sorted_docword(rng, 30, 12, 200, repeat=0.2)
+        assert self._check(raw).nnz == 200  # every repeated pair was merged
+
+    @pytest.mark.parametrize("blank", ["\u3000", "\x1f", " \u2028\t", "\xa0", "\x0b\x0c"])
+    def test_unicode_whitespace_lines_skipped(self, blank):
+        rng = np.random.default_rng(120)
+        raw = _sorted_docword(rng, 20, 9, 60, repeat=0.1, blanks=(blank,))
+        assert blank.encode() in raw
+        self._check(raw)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [b"3\n5\n0\n", b"3\n5\n0", "3\n5\n0\n\u3000\n \n\x1f\n".encode(), b"\n3\n\n5\n0\n\n"],
+    )
+    def test_no_entries(self, raw):
+        assert self._check(raw).nnz == 0
 
 
 class TestDocTermMatrix:
@@ -315,6 +378,51 @@ class TestFusedStep:
         assert truncated.loglik == plateau.loglik == plateau.loglik_trace[-1]
 
 
+def _with_zero_terms(x):
+    """``x`` in a vocabulary of twice the size, where every odd term has count 0."""
+    return DocTermMatrix(x.n_docs, 2 * x.n_terms, x.doc_ids, 2 * x.term_ids, x.counts)
+
+
+class TestComponentMajorEm:
+    """em_fit, which holds Phi as (L, docs) rows, against the (docs, L)
+    iteration it replaced: every output identical to the byte."""
+
+    def _assert_same(self, x, l_comp, max_iters, restarts, seed):
+        expected = em_row_major(x, l_comp, max_iters, restarts, seed, admixture._EM_REL_TOL, admixture._EM_SMOOTHING)
+        for threads in (1, 2):
+            model = em_fit(x, l_comp, max_iters=max_iters, restarts=restarts, seed=seed, threads=threads)
+            got = (model.phi, model.f, model.loglik_trace, model.stop, model.restart)
+            assert model.phi.flags.c_contiguous
+            for a, b in zip(got[:3], expected[:3]):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert got[3:] == expected[3:]
+            assert model.loglik == expected[2][-1] and model.n_iters == expected[2].size - 1
+        return expected
+
+    @pytest.mark.parametrize("l_comp", [1, 2, 3, 6, 16])
+    @pytest.mark.parametrize("layout", ["doc-sorted", "shuffled", "zero-count terms"])
+    def test_bitwise(self, l_comp, layout):
+        x, _, _ = synthetic_corpus(4, 30, 150, 40, 0.8, seed=40 + l_comp)
+        if layout == "shuffled":
+            x = _shuffled(x, l_comp)
+        elif layout == "zero-count terms":
+            x = _with_zero_terms(_shuffled(x, l_comp))
+        self._assert_same(x, l_comp, max_iters=150, restarts=3, seed=l_comp)
+
+    def test_bitwise_at_plateau(self, monkeypatch):
+        x, _, _ = synthetic_corpus(2, 6, 30, 20, 0.9, seed=1)
+        monkeypatch.setattr(admixture, "_EM_REL_TOL", -1.0)
+        assert self._assert_same(x, 2, max_iters=5000, restarts=2, seed=1)[3] == "plateau"
+
+    def test_log_likelihood_pi_matches_em(self):
+        x, _, _ = synthetic_corpus(3, 10, 80, 30, 0.8, seed=2)
+        model = em_fit(x, 4, max_iters=20, restarts=1, seed=2)
+        pi = admixture._pi(np.ascontiguousarray(model.phi.T), model.f, x.doc_ids, x.term_ids)
+        rows = np.take(model.phi, x.doc_ids, axis=0) * np.take(model.f.T, x.term_ids, axis=0)
+        assert pi.tobytes() == admixture._row_sums(rows).tobytes()
+        assert log_likelihood(x, model.phi, model.f) == float(x.counts @ np.log(pi))
+
+
 class TestIdentifiabilityCheck:
     def test_basis_rows_identifiable(self):
         assert identifiability_check(np.eye(4)).all()
@@ -362,6 +470,22 @@ class TestTwoStage:
         x, _, _ = synthetic_corpus(6, 200, 2000, 150, 1.0, seed=seed)
         assert two_stage(x, l0=16, restarts=5, seed=seed).final_m == 6
 
+    def test_iteration_cap_reported(self):
+        # 16 components for 6 true ones: round 0 runs into em_fit's 500-iteration cap
+        x, _, _ = synthetic_corpus(6, 200, 500, 150, 0.98, seed=2)
+        report = two_stage(x, l0=16, restarts=1, seed=2)
+        assert [(r.n_iters, r.stop) for r in report.rounds[:1]] == [(500, "max_iters")]
+        assert "round 0: EM stopped at the iteration cap (500) before converging" in report.warnings
+        assert all(r.stop != "max_iters" for r in report.rounds[1:])
+        assert sum("iteration cap" in w for w in report.warnings) == 1
+
+    def test_converged_rounds_not_warned(self):
+        x, _, _ = synthetic_corpus(3, 9, 400, 80, 1.0, seed=21)
+        report = two_stage(x, l0=6, pca_dim=2, seed=21)
+        assert len(report.rounds) == 2
+        assert {r.stop for r in report.rounds} == {"converged"}
+        assert not any("iteration cap" in w for w in report.warnings)
+
     def test_term_remap_recorded(self):
         x, _, _ = synthetic_corpus(3, 9, 200, 60, 1.0, seed=12)
         report = two_stage(x, l0=3, seed=12)
@@ -371,10 +495,13 @@ class TestTwoStage:
     def test_choquet_readoff_when_square(self):
         x, _, _ = synthetic_corpus(3, 3, 300, 90, 0.95, seed=13)
         report = two_stage(x, l0=3, pca_dim=2, seed=13)
-        if report.final_m == 3 and report.choquet_weights is not None:
-            np.testing.assert_allclose(report.choquet_weights, report.model.phi)
-        else:
-            assert "frame" in report.choquet_note or "regime" in report.choquet_note
+        assert report.final_m == 3
+        assert report.choquet_note == "weights read off the mixing matrix (pi_i = phi_i @ F)"
+
+    def test_choquet_note_outside_simplex_regime(self):
+        x, _, _ = synthetic_corpus(3, 8, 100, 50, 0.8, seed=15)
+        report = two_stage(x, l0=3, pca_dim=2, seed=15)
+        assert report.choquet_note.startswith("non-simplex regime")
 
     def test_config_validation(self):
         x = tiny_matrix()
@@ -384,24 +511,6 @@ class TestTwoStage:
             two_stage(x, l0=2, pca_dim=1)
         with pytest.raises(ValueError):
             two_stage(x, l0=2, max_rounds=0)
-
-
-class TestChoquetFromFit:
-    def _square_model(self, seed=14):
-        x, _, _ = synthetic_corpus(3, 3, 400, 120, 0.9, seed=seed)
-        return em_fit(x, 3, seed=seed)
-
-    def test_readoff_matches_resolve(self):
-        model = self._square_model()
-        measures = choquet_from_fit(model)
-        assert len(measures) == model.phi.shape[0]
-        np.testing.assert_allclose(measures[5].weights, model.phi[5], atol=1e-12)
-
-    def test_non_square_rejected(self):
-        x, _, _ = synthetic_corpus(3, 8, 100, 50, 1.0, seed=15)
-        model = em_fit(x, 3, max_iters=30, seed=15)
-        with pytest.raises(ValueError, match="non-simplex"):
-            choquet_from_fit(model)
 
 
 class TestSyntheticCorpus:

@@ -280,11 +280,24 @@ class TestFitAdmixtureCommand:
              "--manifest", str(tmp_path / "m.json")])
         report = json.loads(read(json_out))
         assert report["final_m"] == 3
+        assert [r["stop"] for r in report["rounds"]] == ["converged", "converged"]
+        assert not any("iteration cap" in w for w in report["warnings"])
         phi = np.loadtxt(tmp_path / "phi.csv", delimiter=",")
         f = np.loadtxt(tmp_path / "f.csv", delimiter=",")
         assert phi.shape == (400, 3)
         assert f.shape[0] == 3
         np.testing.assert_allclose(f.sum(axis=1), 1.0, atol=1e-9)
+
+    def test_iteration_cap_in_report(self, tmp_path):
+        x, _, _ = synthetic_corpus(6, 200, 500, 150, 0.98, seed=2)
+        doc = tmp_path / "docword.txt"
+        write_docword(x, doc)
+        json_out = tmp_path / "report.json"
+        run(["fit-admixture", "--input", str(doc), "--L0", "16", "--restarts", "1", "--seed", "2",
+             "--json-out", str(json_out), "--csv-dir", str(tmp_path), "--manifest", str(tmp_path / "m.json")])
+        report = json.loads(read(json_out))
+        assert (report["rounds"][0]["iterations"], report["rounds"][0]["stop"]) == (500, "max_iters")
+        assert "round 0: EM stopped at the iteration cap (500) before converging" in report["warnings"]
 
     def test_byte_identical_across_threads(self, tmp_path):
         x, _, _ = synthetic_corpus(2, 6, 120, 40, 1.0, seed=22)

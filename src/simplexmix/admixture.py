@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .choquet import make_frame
-from .hull import EXTREME_TOL, PointSet, _centered_svd, extremal_set, pca_project, point_to_hull_distance
+from .hull import PointSet, _centered_svd, _perpoint_keep, extremal_set, pca_project
+from .hull import point_to_hull_distance  # noqa: F401  (a call site that perfbench/tracing.py wraps)
 from .simplex import _map_indexed, child_seed
 
 __all__ = [
@@ -417,13 +418,13 @@ def em_fit(
 
 def identifiability_check(f: np.ndarray) -> np.ndarray:
     """Per-component flag: True if the row is farther than ``EXTREME_TOL``
-    from the hull of the other rows (full space)."""
+    from the hull of the other rows, in full coordinates (``_perpoint_keep``)."""
     f = np.asarray(f, dtype=np.float64)
     if f.ndim != 2 or f.shape[0] < 2:
         raise ValueError("need a matrix of at least two component rows")
-    return np.array(
-        [point_to_hull_distance(f[i], np.delete(f, i, axis=0)) > EXTREME_TOL for i in range(f.shape[0])]
-    )
+    if not np.isfinite(f).all():
+        raise ValueError("non-finite values in component rows")
+    return np.isin(np.arange(f.shape[0]), _perpoint_keep(f))
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,11 @@ version and the sha256 of every output, so any run can be reproduced
 byte-for-byte from its manifest.
 Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 
-CSV cells carry 17 significant digits; JSON floats use Python's shortest
-round-trip representation.  The only environment variable honored is
-SIMPLEXMIX_OUT_DIR (default output directory).
+CSV cells are CPython's ``'%.17g'`` bytes of each value; the matrices of
+``fit-admixture`` (phi.csv, f.csv) get those bytes from vectorized formatting
+(``_write_matrix``).  JSON floats use Python's shortest round-trip
+representation.  The only environment variable honored is SIMPLEXMIX_OUT_DIR
+(default output directory).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import hashlib
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -67,12 +70,154 @@ def _write_csv(path: str, header: list[str], rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+# _write_matrix formats this many cells at a time, in buffers of about 400
+# bytes a cell.
+_G17_BLOCK = 2048
+# Cells with magnitude in [_G17_MIN, _G17_MAX) take the vectorized path; the
+# splits of its exact products neither overflow nor underflow there.
+_G17_MIN, _G17_MAX = 1e-280, 1e280
+_G17_K0 = -282  # the tables cover decimal exponents in [_G17_K0, -_G17_K0)
+_G17_WIDTH = 25  # the widest cell, '-1.2345678901234567e-308', and its separator
+_VELTKAMP = 134217729.0  # 2**27 + 1 splits a double into two 26-bit halves
+# Byte layout of a cell's source row: 0..16 its 17 digits, the digit of
+# 10**j at byte j; 20..22 its exponent's three digits; then the separator,
+# the constants below and 0 bytes, which the writer drops.
+_G17_SEP, _G17_DOT, _G17_MINUS, _G17_E, _G17_PLUS, _G17_ZERO, _G17_NUL = 24, 25, 26, 27, 28, 29, 31
+
+
+@functools.cache
+def _g17_tables() -> tuple:
+    """Per decimal exponent k: 10**(16 - k) as hi + lo doubles and the split
+    of hi, the bytes of |k| and the first row of its layout in the template
+    table; the template table; and the byte strings of 0..9999, least
+    significant digit first.
+
+    A template lists, per output byte, the source byte of a cell with that
+    ``%g`` layout, count of digits kept and sign.  The layouts are fixed
+    point for k in [-4, 16] and exponent form by exponent sign and 2 or 3
+    exponent digits.  Built at the first write, not at import.
+    """
+    ks = np.arange(_G17_K0, -_G17_K0)
+    hi, lo = np.empty(ks.size), np.empty(ks.size)
+    for i, q in enumerate((16 - ks).tolist()):  # exact integer arithmetic, each conversion correctly rounded
+        if q >= 0:
+            hi[i] = float(10**q)
+            lo[i] = float(10**q - int(hi[i]))
+        else:
+            num, den = (1 / 10**-q).as_integer_ratio()
+            hi[i] = num / den
+            lo[i] = (den - num * 10**-q) / (den * 10**-q)
+    c = _VELTKAMP * hi
+    hi_hi = c - (c - hi)
+    ak = np.abs(ks)
+    exp_digits = np.zeros((ks.size, 4), dtype=np.uint8)
+    exp_digits[:, :3] = np.stack([ak // 100, ak // 10 % 10, ak % 10], axis=1) + 48
+    layout = np.where((ks >= -4) & (ks <= 16), ks + 4, 21 + 2 * (ks < 0) + (ak >= 100))
+    rows = []
+    for lay in range(25):
+        k = lay - 4  # of the fixed-point layouts
+        for kept in range(1, 18):
+            digits = [16 - i for i in range(kept)]  # most significant first
+            if k < 0:  # 0.000ddd
+                body = [_G17_ZERO, _G17_DOT] + [_G17_ZERO] * (-k - 1) + digits
+            elif lay < 21:  # k + 1 integer digits, then the fraction if a digit is left
+                body = [16 - i for i in range(max(kept, k + 1))]
+                if kept > k + 1:
+                    body.insert(k + 1, _G17_DOT)
+            else:  # d.ddde+XX
+                neg, three = divmod(lay - 21, 2)
+                body = digits[:1] + [_G17_DOT] * (kept > 1) + digits[1:]
+                body += [_G17_E, _G17_MINUS if neg else _G17_PLUS] + [20, 21, 22][1 - three :]
+            for sign in (0, 1):
+                row = [_G17_MINUS] * sign + body + [_G17_SEP]
+                rows.append(row + [_G17_NUL] * (_G17_WIDTH - len(row)))
+    base = np.arange(0, 32 * _G17_BLOCK, 32)[:, None]
+    chunk = np.arange(10000)
+    chunks = np.stack([chunk % 10, chunk // 10 % 10, chunk // 100 % 10, chunk // 1000], axis=1).astype(np.uint8) + 48
+    return (  # 34 template rows a layout: kept digits 1..17, by sign
+        hi, lo, hi_hi, hi - hi_hi, exp_digits.view(np.uint32).ravel(), layout * 34,
+        np.array(rows, dtype=np.intp), base, chunks.view(np.uint32).ravel(),
+    )
+
+
+def _g17_block(x: np.ndarray, sep: np.ndarray, src: np.ndarray, idx: np.ndarray, out: np.ndarray) -> bytes:
+    """``'%.17g' % v`` followed by its separator byte, for each v of ``x``.
+
+    With k = floor(log10|v|), the digits are D = round-half-even(|v| *
+    10**(16 - k)).  Dekker's two-product of |v| and the hi part of 10**(16 -
+    k) is exact, p + e; with r = e + |v| * lo, |v| * 10**(16 - k) - (p + r)
+    is below 4e-15, and 0 where 10**(16 - k) is a double (lo == 0).  p is an
+    integer (at least 2**53), so D = p + rint(r), ties to even.  A cell the
+    fast path cannot certify takes ``'%.17g' % v``: a non-finite, zero,
+    subnormal or out-of-domain value; a rounding fraction within 1e-9 of 1/2
+    where lo != 0; or a k that log10 left one off next to a power of ten, or
+    a D that rounds up to 1e17 (D outside (1e16, 1e17)).
+    """
+    hi, lo, hi_hi, hi_lo, exp_digits, layout, templates, base, chunks = _g17_tables()
+    n = x.size
+    a = np.abs(x)
+    fast = (a >= _G17_MIN) & (a < _G17_MAX)  # false on nan
+    a = np.where(fast, a, 1.0)
+    i = np.floor(np.log10(a)).astype(np.intp) - _G17_K0
+    ph, pl, phh, phl = hi[i], lo[i], hi_hi[i], hi_lo[i]
+    c = _VELTKAMP * a
+    ah = c - (c - a)
+    al = a - ah
+    p = a * ph
+    e = ((ah * phh - p) + ah * phl + al * phh) + al * phl
+    r = e + a * pl
+    near = np.rint(r)
+    frac = r - near  # exact
+    exact = pl == 0.0
+    d_near = p.astype(np.int64) + near.astype(np.int64)
+    tie_odd = exact & (np.abs(frac) == 0.5) & (d_near % 2 == 1)
+    digits = d_near + tie_odd * (2 * frac).astype(np.int64)  # ties to even
+    # D == 1e16 is certified only where exact arithmetic shows |v| * 10**(16 - k) >= 1e16.
+    at_least = (d_near > 10**16) | ((d_near == 10**16) & (frac >= 0))
+    ok = fast & (exact | (np.abs(np.abs(frac) - 0.5) >= 1e-9)) & (digits < 10**17)
+    ok &= (digits > 10**16) | ((digits == 10**16) & exact & at_least)
+    src32 = src[:n].view(np.uint32)
+    lead = digits // 10**16
+    rest = digits - lead * 10**16
+    upper = rest // 10**8
+    for col, v in ((2, upper), (0, rest - upper * 10**8)):
+        v = v.astype(np.int32)
+        v_hi = v // 10000
+        src32[:, col] = chunks[v - v_hi * 10000]
+        src32[:, col + 1] = chunks[v_hi]
+    src[:n, 16] = lead + 48
+    src32[:, 5] = exp_digits[i]
+    src[:n, _G17_SEP] = sep
+    kept = 17 - np.argmax(src[:n, :17] != 48, axis=1)  # drop trailing zeros
+    idx, out = idx[:n], out[:n]
+    np.take(templates, layout[i] + (kept - 1) * 2 + (x < 0), axis=0, out=idx, mode="clip")
+    np.add(idx, base[:n], out=idx)
+    np.take(src.ravel(), idx, out=out, mode="clip")
+    for j in np.flatnonzero(~ok):
+        cell = b"%.17g%c" % (x[j], sep[j])
+        out[j] = 0
+        out[j, : len(cell)] = np.frombuffer(cell, dtype=np.uint8)
+    return out[out != 0].tobytes()
+
+
 def _write_matrix(path: str, a: np.ndarray) -> None:
-    """The bytes of ``np.savetxt(path, a, delimiter=",", fmt="%.17g")`` for a
-    2-D array, formatted in one pass."""
+    """Write the bytes of ``np.savetxt(path, a, delimiter=",", fmt="%.17g")``
+    for a 2-D array: CPython's ``'%.17g'`` of each cell, made by vectorized
+    formatting (``_g17_block``) a block of cells at a time."""
+    a = np.asarray(a, dtype=np.float64)
     n, m = a.shape
-    with open(path, "w") as fh:
-        fh.write(((",".join(["%.17g"] * m) + "\n") * n) % tuple(a.ravel().tolist()))
+    flat = a.ravel()
+    src = np.zeros((min(_G17_BLOCK, flat.size), 32), dtype=np.uint8)
+    src[:, _G17_DOT : _G17_ZERO + 1] = np.frombuffer(b".-e+0", dtype=np.uint8)
+    idx = np.empty((src.shape[0], _G17_WIDTH), dtype=np.intp)
+    out = np.empty((src.shape[0], _G17_WIDTH), dtype=np.uint8)
+    with open(path, "wb") as fh:
+        if not m:
+            fh.write(b"\n" * n)
+        for lo in range(0, flat.size, _G17_BLOCK):
+            x = flat[lo : lo + _G17_BLOCK]
+            sep = np.where(np.arange(lo + 1, lo + 1 + x.size) % m, 44, 10).astype(np.uint8)  # ',' or '\n'
+            fh.write(_g17_block(x, sep, src, idx, out))
 
 
 def _write_json(path: str, obj) -> None:
@@ -239,14 +384,25 @@ def _cmd_definetti(args) -> list[str]:
     )
 
 
+def _read_csv(path: str, flag: str) -> np.ndarray:
+    """``np.loadtxt`` of a comma-separated file; one that holds no numbers
+    is a configuration error naming the file, without numpy's warning."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="loadtxt: input contained no data")
+        a = np.loadtxt(path, delimiter=",", dtype=np.float64)
+    if not a.size:
+        raise ValueError(f"{flag} file {path!r} holds no numbers")
+    return a
+
+
 def _read_vector(text: str) -> np.ndarray:
     if os.path.exists(text):
-        return np.atleast_1d(np.loadtxt(text, delimiter=",", dtype=np.float64)).ravel()
+        return np.atleast_1d(_read_csv(text, "--p")).ravel()
     return np.asarray(_parse_floats(text))
 
 
 def _cmd_choquet(args) -> list[str]:
-    vertices = np.atleast_2d(np.loadtxt(args.frame, delimiter=",", dtype=np.float64))
+    vertices = np.atleast_2d(_read_csv(args.frame, "--frame"))
     frame = make_frame(vertices)
     p = _read_vector(args.p)
     measure = choquet_measure(p, frame)

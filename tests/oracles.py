@@ -349,3 +349,10 @@ def docword_by_lines(raw: bytes):
             term_ids.append(w - 1)
             counts.append(c)
     return n_docs, n_terms, np.asarray(doc_ids), np.asarray(term_ids), np.asarray(counts)
+
+
+def savetxt_17g(a: np.ndarray) -> bytes:
+    """The bytes of ``np.savetxt(path, a, delimiter=",", fmt="%.17g")`` for a
+    2-D array, formatted by CPython's ``%`` in one pass."""
+    n, m = a.shape
+    return (((",".join(["%.17g"] * m) + "\n") * n) % tuple(a.ravel().tolist())).encode()

@@ -444,6 +444,11 @@ class TestIdentifiabilityCheck:
         with pytest.raises(ValueError):
             identifiability_check(np.array([[1.0, 0.0]]))
 
+    @pytest.mark.parametrize("f", [np.eye(3)[0], np.eye(3)[None], [[1.0, 0.0], [0.0, np.nan]], [[np.inf, 0.0], [0.0, 1.0]]])
+    def test_bad_input_rejected(self, f):
+        with pytest.raises(ValueError):
+            identifiability_check(np.asarray(f))
+
 
 class TestTwoStage:
     def test_fixpoint_single_round(self):

@@ -7,14 +7,18 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import savetxt_17g
 from simplexmix import hull
-from simplexmix.admixture import synthetic_corpus
+from simplexmix.admixture import em_fit, synthetic_corpus
 from simplexmix.cli import _write_matrix, build_parser, main
 
 
@@ -249,6 +253,24 @@ class TestChoquetCommand:
         assert main(["choquet", "--frame", str(frame), "--p", "1,0,0",
                      "--manifest", str(tmp_path / "m.json")]) == 2
 
+    @pytest.mark.parametrize("flag", ["--frame", "--p"])
+    def test_empty_file_exits_2(self, tmp_path, flag):
+        files = {"--frame": tmp_path / "frame.csv", "--p": tmp_path / "p.csv"}
+        np.savetxt(files["--frame"], np.eye(3), delimiter=",")
+        files["--p"].write_text("0.2,0.3,0.5\n")
+        files[flag].write_text("")
+        # a child interpreter, so that -W error turns any warning into a crash
+        src = str(Path(hull.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "simplexmix", "choquet", "--frame", str(files["--frame"]),
+             "--p", str(files["--p"]), "--manifest", str(tmp_path / "m.json")],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 2
+        assert done.stderr == f"error: {flag} file {str(files[flag])!r} holds no numbers\n"
+        assert not (tmp_path / "m.json").exists()
+
     def test_solver_flag_is_gone(self, tmp_path):
         frame = tmp_path / "frame.csv"
         np.savetxt(frame, np.eye(3), delimiter=",")
@@ -335,14 +357,40 @@ class TestFitAdmixtureCommand:
     def test_matrix_csv_bytes_match_savetxt(self, tmp_path):
         rng = np.random.default_rng(24)
         floor = 1e-10 / (1.0 + 40 * 1e-10)  # a smoothed zero after renormalization
-        for a in (
-            np.array([[1.0, 1e-300, floor], [floor * (1 + 2**-52), 1 / 3, 2 / 3]]),
-            rng.dirichlet(np.ones(4), size=50) + floor,
-            np.array([[0.5]]),
-        ):
+        # odd multiples of 2**-e whose exact decimal has 18 digits, the last a 5;
+        # at e = 24 and 25, 10**(e - 1) is not a double
+        ties = [odd * 2.0**-e for e in range(17, 26) for odd in range(-(-10**17 // 5**e) | 1, 10**18 // 5**e + 1, 2)[:20]]
+        powers = np.array([float(f"1e{k}") for k in range(-300, 301)] + [2.0**k for k in range(-1000, 1001)])
+        near_switch = np.array([1e-5, 1e-4, 1e16, 1e17, 9.9999999999999e-5, 1.0000000000001e-4, 99999999999999984.0])
+        x, _, _ = synthetic_corpus(3, 12, 300, 60, 0.9, seed=24)
+        cases = {
+            "smoothed": np.array([[1.0, 1e-300, floor], [floor * (1 + 2**-52), 1 / 3, 2 / 3]]),
+            "dirichlet": rng.dirichlet(np.ones(4), size=50) + floor,
+            "exact ties": np.array(ties + [-t for t in ties]).reshape(-1, 2),
+            "powers and neighbours": np.stack([np.nextafter(powers, 0), powers, np.nextafter(powers, np.inf)], axis=1),
+            "round up to a power of ten": np.array([[0.99999999999999999, 9.9999999999999995e-08, 1e-70, 1e-73, 1e-78]]),
+            "fixed/exponent switch": np.stack([np.nextafter(near_switch, 0), near_switch, np.nextafter(near_switch, np.inf)]),
+            "signs and specials": np.array([[-1.5, -0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e300, -1e-300]]),
+            "1 x 1": np.array([[-0.00012345678901234567]]),
+            "n x 1": rng.standard_normal((5000, 1)) * 10.0 ** rng.integers(-20, 20, (5000, 1)),
+            "fitted phi": em_fit(x, 4, restarts=1, seed=24).phi,
+        }
+        for name, a in cases.items():
             _write_matrix(str(tmp_path / "fast.csv"), a)
-            np.savetxt(tmp_path / "ref.csv", a, delimiter=",", fmt="%.17g")
-            assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+            assert (tmp_path / "fast.csv").read_bytes() == savetxt_17g(a), name
+        np.savetxt(tmp_path / "ref.csv", cases["fitted phi"], delimiter=",", fmt="%.17g")
+        assert (tmp_path / "ref.csv").read_bytes() == savetxt_17g(cases["fitted phi"])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matrix_csv_bytes_match_oracle_on_any_bits(self, data):
+        n, m = data.draw(st.integers(1, 8), label="rows"), data.draw(st.integers(1, 6), label="columns")
+        bits = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=n * m, max_size=n * m), label="bits")
+        a = np.array(bits, dtype=np.uint64).view(np.float64).reshape(n, m)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "fast.csv")
+            _write_matrix(path, a)
+            assert Path(path).read_bytes() == savetxt_17g(a)
 
     def test_manifest_rerun_reproduces_digests(self, tmp_path):
         x, _, _ = synthetic_corpus(2, 5, 60, 30, 0.9, seed=23)

@@ -10,6 +10,7 @@ always reproduce identical streams.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -98,8 +99,8 @@ class SamplerSpec:
             alpha = tuple(float(a) for a in self.alpha)
             if len(alpha) != self.J:
                 raise ValueError(f"alpha has length {len(alpha)}, expected J={self.J}")
-            if min(alpha) <= 0.0:
-                raise ValueError("dirichlet alpha coordinates must be strictly positive")
+            if not all(0.0 < a < math.inf for a in alpha):
+                raise ValueError(f"dirichlet alpha coordinates must be finite and strictly positive, got {alpha}")
             object.__setattr__(self, "alpha", alpha)
         elif self.alpha is not None:
             raise ValueError(f"alpha is only valid for the dirichlet kind, not {kind!r}")

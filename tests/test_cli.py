@@ -102,6 +102,14 @@ class TestGrowthCommand:
              "--manifest", str(tmp_path / "m.json")])
         assert os.path.exists(tmp_path / "g.csv")
 
+    @pytest.mark.parametrize("alpha", ["nan,1,1", "1,inf,1"])
+    def test_non_finite_dirichlet_alpha_exits_2(self, tmp_path, capsys, alpha):
+        # rejected by SamplerSpec, before sampling can warn or fail on the points
+        code = main(["growth", "--J", "3", "--n-grid", "10,20", "--reps", "2", "--sampler", f"dirichlet:{alpha}",
+                     "--out", str(tmp_path / "g"), "--manifest", str(tmp_path / "m.json")])
+        assert code == 2
+        assert "alpha" in capsys.readouterr().err
+
     def test_sampler_json_dimension_checked(self, tmp_path, capsys):
         code = main(["growth", "--J", "3", "--sampler", '{"kind":"uniform","J":4,"seed":0}',
                      "--out", str(tmp_path / "g"), "--manifest", str(tmp_path / "m.json")])

@@ -15,6 +15,7 @@ from oracles import (
     orientation_hull_vertices,
     towers_by_dfs,
 )
+from simplexmix import hull
 from simplexmix.hull import (
     EXTREME_TOL,
     PointSet,
@@ -29,7 +30,7 @@ from simplexmix.hull import (
     pca_project,
     point_to_hull_distance,
 )
-from simplexmix.simplex import SamplerSpec, sample
+from simplexmix.simplex import SamplerSpec, child_seed, sample
 
 
 class TestPointSet:
@@ -126,6 +127,64 @@ class TestPointSet:
         assert (gaps <= width).sum() >= 1
         step = np.array([1.0, -1.0, 0.0, 0.0, 0.0]) * 0.5 * EXTREME_TOL / np.sqrt(2.0)
         assert self.assert_pair_rule(np.vstack([cloud, cloud[123] + step])).shape[0] == 10_000
+
+    @pytest.mark.parametrize("case, sweeps, kept", [
+        ("apart", False, 53), ("adjacent", True, 52), ("straddle", True, 51), ("twin", True, 50), ("at tol", True, 50),
+        ("copy", True, 50)])
+    def test_isolated_near_gaps(self, monkeypatch, case, sweeps, kept):
+        # rows added to a cloud with no near gap.  apart: three rows, each at
+        # an isolated near gap but 2 * tol off its neighbour.  adjacent: two
+        # rows making adjacent near gaps, no pair within tol.  straddle: a
+        # row 0.9 * tol off row 7, and a far row projecting between them.
+        # twin: a row 0.5 * tol off row 7.  at tol: a row exactly tol off row
+        # 7, whose first coordinate is 0.  copy: row 7 again.  Only isolated
+        # near gaps with no pair within tol skip the pair sweep (np.union1d
+        # is its first call).
+        sweep_calls = []
+        union1d = np.union1d
+        monkeypatch.setattr(hull.np, "union1d", lambda *a: sweep_calls.append(1) or union1d(*a))
+        for d in (2, 3, 5):
+            rng = np.random.default_rng(40 + d)
+            base = rng.random((50, d))
+            base[7, 0] = 0.0
+            gaps, width, w = self.sorted_gaps(base)
+            assert gaps.min() > width
+            side = rng.standard_normal(d)
+            side -= (side @ w) * w
+            side *= 2.0 * EXTREME_TOL / np.linalg.norm(side)
+            step = rng.standard_normal(d)
+            step *= 0.5 * EXTREME_TOL / np.linalg.norm(step)
+            added = {
+                "apart": [base[r] + 0.5 * width * w + side for r in (7, 20, 33)],
+                "adjacent": [base[7] + 0.3 * width * w + side, base[7] + 0.6 * width * w - side],
+                "straddle": [base[7] + 0.72 * EXTREME_TOL * w + 0.27 * side, base[7] + 0.36 * EXTREME_TOL * w - side],
+                "twin": [base[7] + step],
+                "at tol": [base[7] + EXTREME_TOL * np.eye(d)[0]],
+                "copy": [base[7]],
+            }[case]
+            cloud = np.vstack([base, *added])
+            gaps, width, _ = self.sorted_gaps(cloud)
+            near = np.flatnonzero(gaps <= width)
+            assert near.size == len(added)
+            assert (np.diff(near).min(initial=2) == 1) == (case in ("adjacent", "straddle"))
+            sweep_calls.clear()
+            points = self.assert_pair_rule(cloud)
+            assert points.shape[0] == kept and bool(sweep_calls) == sweeps
+            assert cloud.flags.writeable and not np.shares_memory(points, cloud)
+            if kept == 50:
+                np.testing.assert_array_equal(points, base)
+
+    @pytest.mark.parametrize("J, n, clouds", [(3, 1000, 100), (5, 10_000, 4)])
+    def test_uniform_clouds(self, J, n, clouds):
+        # the clt-j3 shape and the top of the growth-j5 grid; at J=3 about a
+        # fifth of the clouds have near gaps, all isolated
+        with_near = 0
+        for r in range(clouds):
+            cloud = sample(SamplerSpec("uniform", J, child_seed(31, J, r)), n)
+            gaps, width, _ = self.sorted_gaps(cloud)
+            with_near += bool((gaps <= width).any())
+            self.assert_pair_rule(cloud)
+        assert with_near >= 1
 
     def test_input_not_aliased(self):
         x = np.random.default_rng(2).random((20, 3))

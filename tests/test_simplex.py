@@ -53,8 +53,12 @@ class TestSamplerSpec:
         assert spec.kind == "point-mass"
 
     def test_dirichlet_alpha_positive(self):
-        with pytest.raises(ValueError, match="positive"):
-            SamplerSpec("dirichlet", 3, 0, alpha=(1.0, 0.0, 1.0))
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="alpha coordinates must be finite and strictly positive"):
+                SamplerSpec("dirichlet", 3, 0, alpha=(1.0, bad, 1.0))
+        for literal in ("NaN", "Infinity"):
+            with pytest.raises(ValueError, match="alpha"):
+                SamplerSpec.from_json(f'{{"kind": "dirichlet", "J": 3, "seed": 0, "alpha": [{literal}, 1, 1]}}')
 
     def test_dirichlet_alpha_length(self):
         with pytest.raises(ValueError, match="length"):

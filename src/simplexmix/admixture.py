@@ -253,6 +253,9 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     loop per row; the order ((a0 + a1) + a2) + ... is fixed for every L.
     ``em_fit`` passes the transposes of its (L, docs) Phi and of its (L, nnz)
     starting responsibilities, whose columns are contiguous rows.
+    ``sum(axis=0)`` on those (L, N) arrays is not a drop-in: at N = 1 (one
+    document) numpy sums the contiguous L values pairwise, and in 1512 random
+    arrays with L = 1..24 the bits differed in 62, all at N = 1 with L >= 8.
     """
     total = a[:, 0].copy()
     for l in range(1, a.shape[1]):
@@ -331,15 +334,13 @@ def em_fit(
     counts @ log(pi) is the log-likelihood of the iterate being updated.
 
     Phi is held as its (L, docs) transpose until the restart ends, so pi is
-    built one component at a time from contiguous rows (``_pi``).  R is
-    stored twice: as a document-major CSR matrix for R @ F.T and as a
-    term-major one for R.T @ phi, which adds each term's entries in document
-    order.  Every sum over components (pi_e, the phi row totals, the
-    starting responsibilities' totals) adds the L terms left to right, the
-    same order for every L.  All of this gives the bits of the (docs, L)
-    layout this form replaced, in 40-60% less time at L = 16 and 58k
-    non-zeros and 11-15% less at L = 3 and 43k; at L = 16 and 2.9k
-    non-zeros the 4L numpy calls of pi make it 5-13% slower.
+    built one component at a time from contiguous rows (``_pi``).  R is one
+    document-major CSR matrix; R.T @ phi is taken on its transpose, a CSC
+    view that shares R's data, which starts from zeros and adds each term's
+    entries in document order.  Every sum over components (pi_e, the phi
+    row totals, the starting responsibilities' totals) adds the L terms
+    left to right, the same order for every L.  All of this gives the bits
+    of the (docs, L) layout this form replaced.
     The recorded trace is exactly non-decreasing: a float decrease (possible
     only at the numerical plateau) reverts to the previous iterate and stops.
     ``AdmixtureModel.stop`` says which rule ended the restart.  Ties between
@@ -358,17 +359,13 @@ def em_fit(
         raise ValueError(f"empty document (id {int(np.flatnonzero(totals == 0)[0])}); every document needs >= 1 token")
     if l_comp > x.total_tokens:
         raise ValueError(f"more components ({l_comp}) than tokens ({x.total_tokens})")
-    # The counts as a CSR matrix, triplets in document order, and the
-    # structure of its term-major twin; the restarts share both structures
-    # and each fills data arrays of its own with R.  The twin is the CSC form
-    # of the entry numbers, made by scipy's counting sort: each term's
-    # entries in document order, so its data is the stable argsort of term.
+    # The counts as a CSR matrix, triplets in document order; the restarts
+    # share its structure and each fills a data array of its own with R.
+    # Its CSC view R.T adds each term's products in document order.
     order = np.argsort(x.doc_ids, kind="stable")
     doc, term = x.doc_ids[order], x.term_ids[order]
     indptr = np.concatenate(([0], np.cumsum(np.bincount(doc, minlength=x.n_docs))))
     counts = csr_matrix((x.counts[order].astype(np.float64), term, indptr), shape=(x.n_docs, x.n_terms))
-    twin = csr_matrix((np.arange(x.nnz), term, indptr), shape=counts.shape).tocsc()
-    by_term = twin.data
 
     def run_restart(restart: int) -> AdmixtureModel:
         rng = np.random.default_rng(child_seed(seed, restart))
@@ -376,7 +373,7 @@ def em_fit(
         resp_t /= _row_sums(resp_t.T)
         phi_t, f = _m_step(x, resp_t)
         ratio = csr_matrix((np.empty(x.nnz), counts.indices, counts.indptr), shape=counts.shape)
-        ratio_t = csr_matrix((np.empty(x.nnz), twin.indices, twin.indptr), shape=(x.n_terms, x.n_docs))
+        ratio_csc = ratio.T  # shares ratio.data, so it sees each np.divide below
         trace, previous = [], None
         while True:
             pi = _pi(phi_t, f, doc, term)
@@ -393,10 +390,8 @@ def em_fit(
                 stop = "max_iters"
                 break
             np.divide(counts.data, pi, out=ratio.data)
-            # by_term is a permutation, so "clip" changes nothing; "raise" would copy out
-            np.take(ratio.data, by_term, out=ratio_t.data, mode="clip")
             previous = phi_t, f
-            phi_t, f = _smoothed(phi_t * (ratio @ f.T).T, f * (ratio_t @ phi_t.T).T)
+            phi_t, f = _smoothed(phi_t * (ratio @ f.T).T, f * (ratio_csc @ phi_t.T).T)
         return AdmixtureModel(
             phi=np.ascontiguousarray(phi_t.T),
             f=f,

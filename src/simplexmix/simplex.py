@@ -158,7 +158,8 @@ def sample(spec: SamplerSpec, n: int) -> np.ndarray:
 
     The stream is a pure function of ``(spec, n)``: repeated calls are
     bit-identical.  Uniform draws normalize J standard exponentials (exact on
-    the simplex, no rejection); Dirichlet draws normalize Gamma variates.
+    the simplex, no rejection); Dirichlet draws are numpy's ``dirichlet``,
+    whose small-alpha route never leaves a row of all-zero Gamma draws.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -166,7 +167,7 @@ def sample(spec: SamplerSpec, n: int) -> np.ndarray:
     if spec.kind == "uniform":
         g = rng.standard_exponential(size=(n, spec.J))
     elif spec.kind == "dirichlet":
-        g = rng.standard_gamma(np.asarray(spec.alpha), size=(n, spec.J))
+        return rng.dirichlet(spec.alpha, size=n)
     else:  # point-mass
         atoms = np.asarray(spec.atoms, dtype=np.float64)
         idx = rng.choice(len(atoms), size=n, p=np.asarray(spec.weights))

@@ -400,14 +400,18 @@ class TestComponentMajorEm:
         return expected
 
     @pytest.mark.parametrize("l_comp", [1, 2, 3, 6, 16])
-    @pytest.mark.parametrize("layout", ["doc-sorted", "shuffled", "zero-count terms"])
+    @pytest.mark.parametrize("layout", ["doc-sorted", "shuffled", "zero-count terms", "one document"])
     def test_bitwise(self, l_comp, layout):
         x, _, _ = synthetic_corpus(4, 30, 150, 40, 0.8, seed=40 + l_comp)
+        corpora = [x]
         if layout == "shuffled":
-            x = _shuffled(x, l_comp)
+            corpora = [_shuffled(x, l_comp)]
         elif layout == "zero-count terms":
-            x = _with_zero_terms(_shuffled(x, l_comp))
-        self._assert_same(x, l_comp, max_iters=150, restarts=3, seed=l_comp)
+            corpora = [_with_zero_terms(_shuffled(x, l_comp))]
+        elif layout == "one document":  # where numpy's own reductions would sum pairwise
+            corpora = [synthetic_corpus(4, w, 1, 150, 0.8, seed=40 + l_comp)[0] for w in (5, 40)]
+        for x in corpora:
+            self._assert_same(x, l_comp, max_iters=150, restarts=3, seed=l_comp)
 
     def test_bitwise_at_plateau(self, monkeypatch):
         x, _, _ = synthetic_corpus(2, 6, 30, 20, 0.9, seed=1)

@@ -119,6 +119,8 @@ class TestSample:
             specs.append(SamplerSpec("dirichlet", j, seed, alpha=tuple(rng.uniform(0.2, 5.0, j))))
             atoms = tuple(tuple(rng.dirichlet(np.ones(j))) for _ in range(3))
             specs.append(SamplerSpec("point-mass", j, seed, atoms=atoms, weights=(0.2, 0.3, 0.5)))
+        # Gamma(0.001) draws underflow to 0.0 about half the time, so a row of them can be all zeros
+        specs.append(SamplerSpec("dirichlet", 3, 0, alpha=(0.001,) * 3))
         for spec in specs:
             pts = sample(spec, 50)
             assert pts.shape == (50, spec.J)

@@ -131,14 +131,23 @@ class ExchangeabilityBound:
 
 def _f0_counts(spec: SamplerSpec, clouds, threads: int) -> np.ndarray:
     """Extrema count of each ``(n, key)`` cloud: n points drawn from ``spec``
-    at seed ``child_seed(spec.seed, *key)``, in the order of ``clouds``."""
+    at seed ``child_seed(spec.seed, *key)``, in the order of ``clouds``.
+
+    Clouds start largest first, clouds of equal n in the order given: the
+    pool's workers take tasks in submission order, so a large cloud started
+    last would run on alone after the other workers have finished.  The
+    counts are scattered back into the order of ``clouds``.
+    """
 
     def f0(cloud):
         n, seed = cloud
         return extremal_set(PointSet(sample(dataclasses.replace(spec, seed=seed), n))).f0
 
     seeded = [(n, child_seed(spec.seed, *key)) for n, key in clouds]
-    return np.asarray(_map_indexed(f0, seeded, threads), dtype=np.float64)
+    order = sorted(range(len(seeded)), key=lambda i: seeded[i][0], reverse=True)
+    counts = np.empty(len(seeded), dtype=np.float64)
+    counts[order] = _map_indexed(f0, [seeded[i] for i in order], threads)
+    return counts
 
 
 def growth_experiment(cfg: ExperimentConfig, threads: int = 1) -> GrowthCurve:

@@ -188,8 +188,10 @@ def child_seed(base_seed: int, *key: int) -> int:
 def _map_indexed(fn, tasks, threads: int) -> list:
     """``[fn(t) for t in tasks]``, on ``threads`` workers when above 1.
 
-    Results keep the order of ``tasks``; with each task's randomness drawn
-    from its own ``child_seed``, the output is the same for any thread count.
+    Workers take tasks in the order given, so a caller sets the schedule by
+    ordering ``tasks``.  Results keep the order of ``tasks``; with each
+    task's randomness drawn from its own ``child_seed``, the output is the
+    same for any thread count.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")

@@ -5,6 +5,7 @@ import pytest
 import scipy.stats
 
 from oracles import hausdorff
+from simplexmix import asymptotics
 from simplexmix.asymptotics import (
     ExperimentConfig,
     clt_experiment,
@@ -18,7 +19,7 @@ from simplexmix.asymptotics import (
     GrowthCurve,
 )
 from simplexmix.hull import PointSet, extremal_set
-from simplexmix.simplex import SamplerSpec, child_seed, sample
+from simplexmix.simplex import SamplerSpec, _map_indexed, child_seed, sample
 
 
 def _cfg(J, n_grid, reps, seed):
@@ -61,6 +62,22 @@ class TestGrowthExperiment:
         np.testing.assert_array_equal(a.mean_f0, b.mean_f0)
         np.testing.assert_array_equal(a.mean_f0, c.mean_f0)
         np.testing.assert_array_equal(a.var_f0, c.var_f0)
+
+    def test_largest_clouds_start_first(self, monkeypatch):
+        # 8 threads outnumber the 6 clouds
+        cfg, submitted = _cfg(3, (20, 200, 2000), 2, 12), []
+
+        def recording(fn, tasks, threads):
+            submitted.append(list(tasks))
+            return _map_indexed(fn, tasks, threads)
+
+        monkeypatch.setattr(asymptotics, "_map_indexed", recording)
+        curves = [growth_experiment(cfg, threads=t) for t in (1, 2, 8)]
+        expected = [(n, child_seed(12, g, r)) for g, n in reversed(list(enumerate(cfg.n_grid))) for r in range(2)]
+        assert submitted == [expected] * 3
+        for curve in curves[1:]:
+            np.testing.assert_array_equal(curve.mean_f0, curves[0].mean_f0)
+            np.testing.assert_array_equal(curve.var_f0, curves[0].var_f0)
 
 
 class TestFitGrowth:
@@ -202,9 +219,10 @@ class TestSeedTree:
         mean, var = _moments([_f0(SamplerSpec("uniform", 3, 0), 40, child_seed(23, r)) for r in range(100)])
         assert rep.mean_f0 == mean and rep.sd_f0 == np.sqrt(var)
 
-    def test_gamma(self):
+    @pytest.mark.parametrize("threads", (1, 2))
+    def test_gamma(self, threads):
         g, grid, reps = SamplerSpec("dirichlet", 3, 31, alpha=(2.0, 2.0, 1.0)), (5, 50), 3
-        seq = gamma_experiment(grid, reps, g)
+        seq = gamma_experiment(grid, reps, g, threads=threads)
         arms = ((0, SamplerSpec("uniform", 3, 0), seq.mean_m, seq.se_m), (1, g, seq.mean_t, seq.se_t))
         for arm, spec, mean_out, se_out in arms:
             f0 = [[_f0(spec, n, child_seed(child_seed(31, arm), gi, r)) for r in range(reps)] for gi, n in enumerate(grid)]

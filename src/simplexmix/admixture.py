@@ -485,7 +485,9 @@ def two_stage(
     """Fit with ``l0`` components, count extrema in PCA space, refit at that count.
 
     Rounds continue while the extrema count M drops below the current
-    component count and the round budget lasts (default 2: one refit).  Each
+    component count and the round budget lasts (default 2: one refit).  When
+    the budget ends with M still falling, ``final_m`` is that last count,
+    which the returned model does not have, and a warning names both.  Each
     round fits with ``em_fit``'s defaults and counts extrema at
     ``EXTREME_TOL``.  The final model's rows are also flagged by the
     full-space identifiability check, and when M = J and the rows form a
@@ -532,6 +534,11 @@ def two_stage(
         if m >= l_current:
             break
         l_current = m
+    else:  # the round budget ran out while the count was still falling
+        warnings.append(
+            f"max_rounds={max_rounds} ran out while the extrema count was still falling: "
+            f"final_m is {m}, but the returned model has {model.n_components} components"
+        )
     if model.n_components >= 2:
         identifiable = identifiability_check(model.f)
     else:

@@ -122,11 +122,10 @@ class ExchangeabilityBound:
     m: int
     L: int
     beta: float
+    pair_bound: float = dataclasses.field(init=False)  # the elementary upper bound L(L-1)/(2m)
 
-    @property
-    def pair_bound(self) -> float:
-        """The elementary upper bound L(L-1)/(2m)."""
-        return self.L * (self.L - 1) / (2.0 * self.m)
+    def __post_init__(self):
+        object.__setattr__(self, "pair_bound", self.L * (self.L - 1) / (2.0 * self.m))
 
 
 def _f0_counts(spec: SamplerSpec, clouds, threads: int) -> np.ndarray:

@@ -7,11 +7,12 @@ version and the sha256 of every output, so any run can be reproduced
 byte-for-byte from its manifest.
 Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 
-CSV cells are CPython's ``'%.17g'`` bytes of each value; the matrices of
-``fit-admixture`` (phi.csv, f.csv) get those bytes from vectorized formatting
-(``_write_matrix``).  JSON floats use Python's shortest round-trip
-representation.  The only environment variable honored is SIMPLEXMIX_OUT_DIR
-(default output directory).
+Every CSV is one float matrix under an optional header line, written by
+``_write_matrix``: each cell is CPython's ``'%.17g'`` bytes of its value, made
+by vectorized formatting (an integer-valued count below 1e17 prints as its
+digits).  JSON floats use Python's shortest round-trip representation.  The
+only environment variable honored is SIMPLEXMIX_OUT_DIR (default output
+directory).
 """
 
 from __future__ import annotations
@@ -54,20 +55,6 @@ _OPTIONAL_JSON_HELP = "optional JSON report path ('.json' appended if missing); 
 
 def _out_dir() -> str:
     return os.environ.get(_ENV_OUT_DIR, ".")
-
-
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
-
-
-def _write_csv(path: str, header: list[str], rows) -> None:
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 # _write_matrix formats this many cells at a time, in buffers of about 400
@@ -200,10 +187,12 @@ def _g17_block(x: np.ndarray, sep: np.ndarray, src: np.ndarray, idx: np.ndarray,
     return out[out != 0].tobytes()
 
 
-def _write_matrix(path: str, a: np.ndarray) -> None:
+def _write_matrix(path: str, a: np.ndarray, header: tuple[str, ...] = ()) -> None:
     """Write the bytes of ``np.savetxt(path, a, delimiter=",", fmt="%.17g")``
-    for a 2-D array: CPython's ``'%.17g'`` of each cell, made by vectorized
-    formatting (``_g17_block``) a block of cells at a time."""
+    for a 2-D array, after the comma-joined ``header`` line if one is given:
+    CPython's ``'%.17g'`` of each cell, made by vectorized formatting
+    (``_g17_block``) a block of cells at a time.  Creates the parent
+    directory."""
     a = np.asarray(a, dtype=np.float64)
     n, m = a.shape
     flat = a.ravel()
@@ -211,7 +200,10 @@ def _write_matrix(path: str, a: np.ndarray) -> None:
     src[:, _G17_DOT : _G17_ZERO + 1] = np.frombuffer(b".-e+0", dtype=np.uint8)
     idx = np.empty((src.shape[0], _G17_WIDTH), dtype=np.intp)
     out = np.empty((src.shape[0], _G17_WIDTH), dtype=np.uint8)
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "wb") as fh:
+        if header:
+            fh.write(",".join(header).encode() + b"\n")
         if not m:
             fh.write(b"\n" * n)
         for lo in range(0, flat.size, _G17_BLOCK):
@@ -305,24 +297,12 @@ def _cmd_growth(args) -> list[str]:
     args.n_grid, args.sampler = list(grid), json.loads(sampler.to_json())
     base = _out_base(args)
     csv_path = base + ".csv"
-    _write_csv(
-        csv_path,
-        ["n", "mean_f0", "var_f0", "stderr", "reps"],
-        [
-            (int(n), m, v, s, curve.reps)
-            for n, m, v, s in zip(curve.n, curve.mean_f0, curve.var_f0, curve.stderr)
-        ],
-    )
+    table = np.column_stack([curve.n, curve.mean_f0, curve.var_f0, curve.stderr, np.full(len(curve.n), curve.reps)])
+    _write_matrix(csv_path, table, ("n", "mean_f0", "var_f0", "stderr", "reps"))
     fit_path = base + ".fit.json"
     try:
-        fit = fit_growth(curve)
-        fit_obj = {
-            "c_hat": fit.c_hat,
-            "p_hat": fit.p_hat,
-            "r_squared": fit.r_squared,
-            "residuals": fit.residuals,
-            "exponent_candidates": {"J_minus_1": args.J - 1, "J_minus_2": args.J - 2},
-        }
+        fit_obj = dataclasses.asdict(fit_growth(curve))
+        fit_obj["exponent_candidates"] = {"J_minus_1": args.J - 1, "J_minus_2": args.J - 2}
     except ValueError as exc:
         fit_obj = {"fit": None, "reason": str(exc)}
     _write_json(fit_path, fit_obj)
@@ -333,18 +313,11 @@ def _cmd_clt(args) -> list[str]:
     report = clt_experiment(args.J, args.n, args.reps, args.seed, threads=args.threads)
     base = _out_base(args)
     csv_path = base + ".csv"
-    _write_csv(csv_path, ["standardized_f0"], [(z,) for z in report.standardized])
+    _write_matrix(csv_path, report.standardized[:, None], ("standardized_f0",))
+    summary = dataclasses.asdict(report)
+    del summary["standardized"]
     json_path = base + ".json"
-    _write_json(
-        json_path,
-        {
-            "ks_stat": report.ks_stat,
-            "n": report.n,
-            "reps": report.reps,
-            "mean_f0": report.mean_f0,
-            "sd_f0": report.sd_f0,
-        },
-    )
+    _write_json(json_path, summary)
     return [csv_path, json_path]
 
 
@@ -354,15 +327,10 @@ def _cmd_gamma(args) -> list[str]:
     seq = gamma_experiment(grid, args.reps, sampler_g, threads=args.threads)
     args.n_grid, args.sampler_g = list(grid), json.loads(sampler_g.to_json())
     csv_path = _out_base(args) + ".csv"
-    _write_csv(
+    _write_matrix(
         csv_path,
-        ["n", "gamma_n", "se", "mean_t", "se_t", "mean_m", "se_m"],
-        [
-            (int(n), g, s, mt, st, mm, sm)
-            for n, g, s, mt, st, mm, sm in zip(
-                seq.n, seq.gamma_n, seq.se, seq.mean_t, seq.se_t, seq.mean_m, seq.se_m
-            )
-        ],
+        np.column_stack([seq.n, seq.gamma_n, seq.se, seq.mean_t, seq.se_t, seq.mean_m, seq.se_m]),
+        ("n", "gamma_n", "se", "mean_t", "se_t", "mean_m", "se_m"),
     )
     return [csv_path]
 
@@ -372,16 +340,14 @@ def _cmd_hull_limit(args) -> list[str]:
     trace = hull_limit_experiment(args.J, grid, args.seed)
     args.n_grid = list(grid)
     csv_path = _out_base(args) + ".csv"
-    _write_csv(csv_path, ["n", "hausdorff_to_simplex"], [(int(n), d) for n, d in trace])
+    _write_matrix(csv_path, np.asarray(trace), ("n", "hausdorff_to_simplex"))
     return [csv_path]
 
 
 def _cmd_definetti(args) -> list[str]:
     bound = definetti_bound(args.m, args.L)
     print(format(bound.beta, ".12g"))
-    return _write_optional_json(
-        args.out, {"m": bound.m, "L": bound.L, "beta": bound.beta, "pair_bound": bound.pair_bound}
-    )
+    return _write_optional_json(args.out, dataclasses.asdict(bound))
 
 
 def _read_csv(path: str, flag: str) -> np.ndarray:
@@ -428,7 +394,7 @@ def _cmd_polya(args) -> list[str]:
     args.true_weights, args.k_grid = list(weights.weights), list(k_grid)
     args.depth = AtomEmbedding(weights.m).depth
     csv_path = _out_base(args) + ".csv"
-    _write_csv(csv_path, ["k", "sup_error", "minimax_rate"], trace)
+    _write_matrix(csv_path, np.asarray(trace), ("k", "sup_error", "minimax_rate"))
     return [csv_path]
 
 
@@ -476,7 +442,6 @@ def _cmd_fit_admixture(args) -> list[str]:
     args.csv_dir = args.csv_dir or _out_dir()
     phi_path = os.path.join(args.csv_dir, "phi.csv")
     f_path = os.path.join(args.csv_dir, "f.csv")
-    os.makedirs(args.csv_dir, exist_ok=True)
     _write_matrix(phi_path, report.model.phi)
     _write_matrix(f_path, report.model.f)
     return [args.json_out, phi_path, f_path]

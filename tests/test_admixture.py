@@ -488,6 +488,19 @@ class TestTwoStage:
         assert all(r.stop != "max_iters" for r in report.rounds[1:])
         assert sum("iteration cap" in w for w in report.warnings) == 1
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_round_budget_ending_mid_prune_reported(self, seed):
+        x, _, _ = synthetic_corpus(3, 12, 300, 60, 1.0, seed=seed)
+        report = two_stage(x, 6, pca_dim=2, max_rounds=1, restarts=2, seed=seed)
+        assert (report.final_m, report.model.n_components) == (3, 6)
+        assert (
+            "max_rounds=1 ran out while the extrema count was still falling: "
+            "final_m is 3, but the returned model has 6 components"
+        ) in report.warnings
+        refit = two_stage(x, 6, pca_dim=2, max_rounds=2, restarts=2, seed=seed)
+        assert (refit.final_m, refit.model.n_components) == (3, 3)
+        assert not any("max_rounds" in w for w in refit.warnings)
+
     def test_converged_rounds_not_warned(self):
         x, _, _ = synthetic_corpus(3, 9, 400, 80, 1.0, seed=21)
         report = two_stage(x, l0=6, pca_dim=2, seed=21)

@@ -299,6 +299,26 @@ class TestPolyaCommand:
         assert float(rows[1][1]) < 0.2
 
 
+@pytest.mark.parametrize(
+    "argv, header",
+    [
+        (["growth", "--J", "3", "--n-grid", "10,100", "--reps", "7"], "n,mean_f0,var_f0,stderr,reps"),
+        (["clt", "--J", "3", "--n", "50", "--reps", "100"], "standardized_f0"),
+        (["gamma", "--J", "3", "--n-grid", "10,100", "--reps", "5", "--sampler-g", "dirichlet:2,1,1"],
+         "n,gamma_n,se,mean_t,se_t,mean_m,se_m"),
+        (["hull-limit", "--J", "3", "--n-grid", "10,100"], "n,hausdorff_to_simplex"),
+        (["polya", "--true-weights", "0.7,0.3", "--k-grid", "100,1000"], "k,sup_error,minimax_rate"),
+    ],
+    ids=["growth", "clt", "gamma", "hull-limit", "polya"],
+)
+def test_small_csv_is_header_then_17g_rows(tmp_path, argv, header):
+    out = tmp_path / "new" / "dir" / argv[0]  # the writer creates the directory
+    run(argv + ["--seed", "2", "--out", str(out), "--manifest", str(tmp_path / "m.json")])
+    first, rest = Path(f"{out}.csv").read_bytes().split(b"\n", 1)
+    assert first.decode() == header
+    assert rest == savetxt_17g(np.loadtxt(f"{out}.csv", delimiter=",", ndmin=2, skiprows=1))
+
+
 class TestFitAdmixtureCommand:
     def test_recovers_fixture_components(self, tmp_path):
         x, _, _ = synthetic_corpus(3, 9, 400, 80, 1.0, seed=21)

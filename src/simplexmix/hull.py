@@ -8,14 +8,26 @@ distance to the hull of all other points exceeds it.  This works in any
 moderate dimension without facet enumeration.  ``PointSet`` merges points
 within the same tolerance.
 
-Extremal-set counting is certificate-first.  A qhull pass on rank-reduced
-isometric coordinates shortlists candidates; each candidate then gets a
-separating direction (the normalized sum of its incident facet normals) whose
-margin over all other points is a lower bound on its distance to their hull.
-A margin above the tolerance proves the candidate extreme in one vectorized
-pass; only the candidates it cannot settle run the distance test, against all
-other points.  The pure per-point distance route remains available and is
-used as a fallback, so every route applies the same rule.
+Extremal-set counting is certificate-first.  A qhull pass on isometric
+coordinates of the points' affine hull (rank-reduced, from a centred SVD)
+shortlists candidates; each candidate then gets a separating direction (the
+normalized sum of its incident facet normals) whose margin over all other
+points is a lower bound on its distance to their hull.  A margin above the
+tolerance proves the candidate extreme in one vectorized pass; only the
+candidates it cannot settle run the distance test, against all other points.
+The pure per-point distance route remains available and is used as a
+fallback, so every route applies the same rule.
+
+Clouds on the simplex hyperplane sum(x) = 1 need no factorization to find
+those coordinates: the plane is known before any point is drawn.  For rows x
+on it with first J - 1 coordinates y, |x - x'|^2 = (y - y')(I + 11^T)(y -
+y')^T, so z = y L, with L the fixed lower Cholesky factor of I + 11^T, is an
+isometric chart of the plane (``_chart``).  A row whose sum is 1 + e lies
+|e| from the point of the plane that its chart coordinates stand for, so
+chart distances differ from raw-row distances by at most twice the largest
+|e|, and the certificate's slack carries that term.  A cloud on a face or an
+edge of the simplex is flat in the chart; qhull rejects it, and the
+rank-reduced coordinates take over.
 
 scipy's ``spatial`` (qhull) and ``optimize`` (``nnls``) take tenths of a
 second to import, so each is imported inside the function that calls it and
@@ -49,6 +61,10 @@ EXTREME_TOL = 1e-7
 
 # extremal_set falls back to per-point distance tests above this rank.
 _QHULL_MAX_DIM = 8
+
+# Lower Cholesky factor of I + 11^T at the largest chart dimension; the
+# factor at a smaller dimension is its leading block.
+_CHART = np.linalg.cholesky(np.eye(_QHULL_MAX_DIM) + 1.0)
 
 # Entries per block of the certificate's candidates-by-points margin
 # product, so its memory stays small whatever the cloud size.
@@ -152,10 +168,15 @@ def _dedup(pts: np.ndarray, tol: float) -> np.ndarray:
         a = a[a + k < s.size]
     i, j = order[np.concatenate(window).T]
     close = ((pts[i] - pts[j]) ** 2).sum(axis=1) <= tol * tol
-    pairs = np.column_stack([np.minimum(i, j), np.maximum(i, j)])[close]
-    for i, j in pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]:
-        if not drop[i] and not drop[j]:
-            drop[j] = True
+    i, j = np.minimum(i, j)[close], np.maximum(i, j)[close]
+    # One step per earlier row i, in row order: rows before i set drop[i]
+    # before its step, and its step sets only later rows, so dropping all of
+    # i's partners at once drops what visiting its pairs one by one would.
+    by_i = np.argsort(i, kind="stable")
+    first, start = np.unique(i[by_i], return_index=True)
+    for a, later in zip(first, np.split(j[by_i], start[1:])):
+        if not drop[a]:
+            drop[later] = True
     return pts[~drop]
 
 
@@ -285,6 +306,23 @@ def _fix_signs(vt: np.ndarray) -> np.ndarray:
     return np.negative(vt, out=vt.copy(), where=(picked < 0)[:, None])
 
 
+def _chart(pts: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """Isometric coordinates of rows on the simplex hyperplane, without a
+    factorization: ``(pts[:, :-1] @ L, 2 * max|sum(x) - 1|)``, with L the
+    lower Cholesky factor of I + 11^T.  None unless every row sums to 1
+    within 4 * J * eps and 3 <= J <= 9, the dimensions qhull shortlists in.
+    The second value bounds how far a chart distance is from the raw-row
+    distance, up to rounding.
+    """
+    d = pts.shape[1]
+    if not 3 <= d <= _QHULL_MAX_DIM + 1:
+        return None
+    off = float(np.abs(pts @ np.ones(d) - 1.0).max())
+    if off > 4 * d * np.finfo(np.float64).eps:
+        return None
+    return pts[:, :-1] @ _CHART[: d - 1, : d - 1], 2.0 * off
+
+
 def _perpoint_keep(z: np.ndarray, rows=None) -> np.ndarray:
     """Rows of ``z`` (all, or those listed in ``rows``) farther than
     ``EXTREME_TOL`` from the hull of the other rows, by the NNLS distance."""
@@ -307,10 +345,11 @@ def _normal_sums(hull, rows: np.ndarray) -> np.ndarray:
     return np.stack([np.bincount(vertex, weights=normal)[rows] for normal in normals], axis=1)
 
 
-def _certified(z: np.ndarray, hull, cand: np.ndarray) -> np.ndarray:
+def _certified(z: np.ndarray, hull, cand: np.ndarray, err: float = 0.0) -> np.ndarray:
     """Mask over ``cand``: True where a separating direction proves the
     candidate farther than ``EXTREME_TOL`` from the hull of all other rows of
-    ``z``, whose ``scipy.spatial.ConvexHull`` is ``hull``.
+    ``z``, whose ``scipy.spatial.ConvexHull`` is ``hull``, and from the hull
+    of the rows ``z`` stands for when its distances are off by up to ``err``.
 
     Candidate a gets u_a, the normalized sum of the unit normals of its
     incident facets.  Every y in the hull of the other rows has u_a.y <=
@@ -338,50 +377,71 @@ def _certified(z: np.ndarray, hull, cand: np.ndarray) -> np.ndarray:
     # unit-scale clouds of the simplex and eight orders below EXTREME_TOL =
     # 1e-7, and the NNLS distance's returned norm by about as much.  The
     # slack covers both, so a certified candidate is one the distance test
-    # would also keep.
-    slack = 8 * (r + 1) * np.finfo(np.float64).eps * float(np.abs(z).max())
+    # would also keep; ``err`` adds the coordinates' own distance error.
+    slack = 8 * (r + 1) * np.finfo(np.float64).eps * float(np.abs(z).max()) + err
     return margin > EXTREME_TOL + slack
+
+
+def _shortlist(z: np.ndarray, err: float) -> ExtremalSet | None:
+    """qhull's vertices of ``z``, certified or confirmed by the distance
+    test, or None when qhull fails.  ``err`` bounds how far the distances in
+    ``z`` are from those between the rows it stands for (``_certified``)."""
+    from scipy.spatial import ConvexHull, QhullError
+
+    try:
+        hull = ConvexHull(z)
+    except QhullError:
+        return None
+    cand = np.sort(hull.vertices.astype(np.int64))
+    ok = _certified(z, hull, cand, err)
+    return ExtremalSet(np.concatenate([cand[ok], _perpoint_keep(z, cand[~ok])]))
 
 
 def extremal_set(ps, method: str = "auto") -> ExtremalSet:
     """Indices of the points of ``ps`` farther than ``EXTREME_TOL`` from the
     hull of all its other points (``is_extreme`` on every point).
 
-    method="auto" shortlists hull vertices with qhull on rank-reduced
+    method="auto" shortlists hull vertices with qhull on isometric
     coordinates; the other points lie inside the hull up to qhull's rounding.
     It certifies each candidate whose separating-direction margin over all
     other points exceeds the tolerance (see ``_certified``), and runs the
-    NNLS distance test against all other points on the rest.  "perpoint"
-    runs that test on every point (any dimension, slower); "auto" also takes
-    that route for affinely independent points, above rank 8 and when qhull
-    fails.  On collinear points the two ends are extreme: ``PointSet`` keeps
-    no two points within the tolerance.
+    NNLS distance test against all other points on the rest.  When every row
+    sums to 1 within 4 * J * eps, 3 <= J <= 9 and n > J, the coordinates are
+    the fixed chart of the simplex hyperplane (``_chart``), and the
+    certificate's slack grows by twice the rows' largest distance from the
+    plane.  Otherwise, or when qhull rejects the chart (a cloud on a face or
+    an edge of the simplex), they are the rank-reduced coordinates of a
+    centred SVD.  "perpoint" runs the distance test on every point (any
+    dimension, slower); "auto" also takes that route for affinely
+    independent points, above rank 8, and when qhull fails on coordinates of
+    full rank, the chart's included.  On collinear points the two ends are
+    extreme: ``PointSet`` keeps no two points within the tolerance.
     """
     if method not in ("auto", "perpoint"):
         raise ValueError(f"unknown method {method!r}")
     if not isinstance(ps, PointSet):
         ps = PointSet(ps)
     pts = ps.points
-    n = pts.shape[0]
+    n, d = pts.shape
     if n < 2:
         raise ValueError("degenerate input: fewer than 2 distinct points")
+    failed = 0  # the rank at which qhull already failed, if any
+    chart = _chart(pts) if method == "auto" and n > d else None
+    if chart is not None:
+        es = _shortlist(*chart)
+        if es is not None:
+            return es
+        failed = d - 1
     z, r = _affine_coordinates(pts)
     if r == 0:
         raise ValueError("degenerate input: all points identical")
     if r == 1:
         coord = z[:, 0]
         return ExtremalSet(np.unique([int(np.argmin(coord)), int(np.argmax(coord))]))
-    if method == "perpoint" or n <= r + 1 or r > _QHULL_MAX_DIM:
+    if method == "perpoint" or n <= r + 1 or r > _QHULL_MAX_DIM or r == failed:
         return ExtremalSet(_perpoint_keep(z))
-    from scipy.spatial import ConvexHull, QhullError
-
-    try:
-        hull = ConvexHull(z)
-    except QhullError:
-        return ExtremalSet(_perpoint_keep(z))
-    cand = np.sort(hull.vertices.astype(np.int64))
-    ok = _certified(z, hull, cand)
-    return ExtremalSet(np.concatenate([cand[ok], _perpoint_keep(z, cand[~ok])]))
+    es = _shortlist(z, 0.0)
+    return ExtremalSet(_perpoint_keep(z)) if es is None else es
 
 
 def count_towers(J: int) -> int:

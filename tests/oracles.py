@@ -4,9 +4,9 @@ import dataclasses
 import itertools
 
 import numpy as np
-from scipy.spatial import cKDTree
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 
-from simplexmix.hull import point_to_hull_distance
+from simplexmix.hull import _certified, _perpoint_keep, point_to_hull_distance
 
 
 def orientation_hull_vertices(points: np.ndarray, eps: float = 1e-12) -> np.ndarray:
@@ -193,6 +193,35 @@ def fix_signs_by_rows(vt: np.ndarray) -> np.ndarray:
         if row[k] < 0:
             row *= -1.0
     return out
+
+
+def extremal_set_by_svd(points: np.ndarray) -> np.ndarray:
+    """Indices of ``extremal_set(method="auto")`` on the rows of a PointSet
+    by the centred-SVD route alone, with no chart of the simplex plane.
+
+    The rows are centred and projected onto the right singular vectors above
+    the rank tolerance max(n, m) * eps * max(s_0, max|x|), signs fixed one
+    row at a time.  Rank 1 keeps the two ends; up to r + 1 points, above
+    rank 8 or when qhull fails, every point runs the NNLS distance test;
+    otherwise qhull's vertices are certified (with no extra slack) or tested.
+    """
+    x = np.asarray(points, dtype=np.float64)
+    n = x.shape[0]
+    y = x - x.mean(axis=0)
+    _, s, vt = np.linalg.svd(y, full_matrices=False)
+    r = int(np.sum(s > max(x.shape) * np.finfo(np.float64).eps * max(s[0], np.abs(x).max())))
+    z = y @ fix_signs_by_rows(vt[:r]).T
+    if r == 1:
+        return np.unique([np.argmin(z[:, 0]), np.argmax(z[:, 0])])
+    if n <= r + 1 or r > 8:
+        return _perpoint_keep(z)
+    try:
+        hull = ConvexHull(z)
+    except QhullError:
+        return _perpoint_keep(z)
+    cand = np.sort(hull.vertices.astype(np.int64))
+    ok = _certified(z, hull, cand)
+    return np.sort(np.concatenate([cand[ok], _perpoint_keep(z, cand[~ok])]))
 
 
 def em_reference(x, l_comp: int, max_iters: int, seed: int, restart: int, rel_tol: float, smoothing: float):

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 import scipy.spatial
 from scipy.spatial import ConvexHull
+from scipy.spatial.distance import pdist
 
 from oracles import (
     dedup_by_pairs,
+    extremal_set_by_svd,
     facet_normal_sums,
     fix_signs_by_rows,
     hausdorff,
@@ -21,6 +23,7 @@ from simplexmix.hull import (
     PointSet,
     _affine_coordinates,
     _certified,
+    _chart,
     _fix_signs,
     _normal_sums,
     c_constant,
@@ -185,6 +188,20 @@ class TestPointSet:
             with_near += bool((gaps <= width).any())
             self.assert_pair_rule(cloud)
         assert with_near >= 1
+
+    def test_clustered_cloud(self):
+        # Dirichlet(0.001) rows pile up at the vertices, exact copies and
+        # rows within the tolerance of many others: the greedy rule visits
+        # long runs of pairs that share their earlier row.  Six more rows
+        # make a chain 0.6 * tol apart: the first drops the second, which
+        # leaves the third to drop the fourth, and so on.
+        step = np.array([1.0, -1.0, 0.0]) * 0.6 * EXTREME_TOL / np.sqrt(2.0)
+        chain = np.full(3, 1.0 / 3.0) + np.arange(6.0)[:, None] * step
+        for seed in (1, 2):
+            cloud = sample(SamplerSpec("dirichlet", 3, seed, alpha=(0.001,) * 3), 1000)
+            kept = self.assert_pair_rule(cloud).shape[0]
+            assert kept < np.unique(cloud, axis=0).shape[0] // 10
+            assert self.assert_pair_rule(np.vstack([cloud, chain])).shape[0] == kept + 3
 
     def test_input_not_aliased(self):
         x = np.random.default_rng(2).random((20, 3))
@@ -494,6 +511,105 @@ class TestCertificate:
             cand = np.sort(hull.vertices)
             sums = _normal_sums(hull, cand)
             assert sums.tobytes() == facet_normal_sums(hull, z.shape[0])[cand].tobytes()
+
+
+class TestSimplexChart:
+    """extremal_set's fixed chart of the plane sum(x) = 1 against the raw
+    rows, the centred-SVD route (``extremal_set_by_svd``) and the per-point
+    route."""
+
+    @staticmethod
+    def spec(kind, J, seed):
+        if kind == "uniform":
+            return SamplerSpec("uniform", J, seed)
+        return SamplerSpec("dirichlet", J, seed, alpha=(kind,) * J)
+
+    @staticmethod
+    def spy_qhull(monkeypatch):
+        """The inputs of every ConvexHull call, and whether qhull took them."""
+        calls, convex_hull = [], scipy.spatial.ConvexHull
+
+        def spy(z, *args, **kwargs):
+            calls.append([z.copy(), False])
+            hull = convex_hull(z, *args, **kwargs)
+            calls[-1][1] = True
+            return hull
+
+        monkeypatch.setattr(scipy.spatial, "ConvexHull", spy)
+        return calls
+
+    def test_distances_match_raw_rows(self):
+        # the last column moved by up to J ulps of 1, so rows sit off the
+        # plane by as much as the gate allows
+        eps = np.finfo(np.float64).eps
+        rng = np.random.default_rng(23)
+        for J in range(3, 10):
+            for kind in ("uniform", 0.3, 0.001):
+                x = sample(self.spec(kind, J, J), 300)
+                x[:, -1] += rng.uniform(-J, J, 300) * eps
+                z, err = _chart(x)
+                assert z.shape == (300, J - 1) and 0 < err <= 8 * J * eps
+                assert np.abs(pdist(z) - pdist(x)).max() <= err + 8 * J * eps
+
+    def test_gate(self):
+        x = sample(SamplerSpec("uniform", 4, 5), 100)
+        assert _chart(x) is not None
+        nudged = x.copy()
+        nudged[:, 1] += 1e-9
+        for off in (2 * x, nudged, x[:, :2] / x[:, :2].sum(axis=1, keepdims=True)):
+            assert _chart(off) is None
+        assert _chart(sample(SamplerSpec("uniform", 10, 5), 100)) is None
+
+    def test_plane_rows_skip_the_svd(self, monkeypatch):
+        ps = PointSet(sample(SamplerSpec("uniform", 4, 6), 500))
+        expected = extremal_set_by_svd(ps.points)
+        calls = self.spy_qhull(monkeypatch)
+        monkeypatch.setattr(hull.np.linalg, "svd", lambda *a, **k: pytest.fail("SVD of a cloud on the plane"))
+        np.testing.assert_array_equal(extremal_set(ps).indices, expected)
+        assert len(calls) == 1 and calls[0][0].tobytes() == _chart(ps.points)[0].tobytes()
+
+    @pytest.mark.parametrize("shift", ["double", "one column"])
+    def test_off_plane_rows_take_the_svd_route(self, monkeypatch, shift):
+        x = sample(SamplerSpec("uniform", 4, 7), 500)
+        if shift == "double":
+            x = 2.0 * x
+        else:
+            x[:, 2] += 1e-9
+        ps = PointSet(x)
+        calls = self.spy_qhull(monkeypatch)
+        np.testing.assert_array_equal(extremal_set(ps).indices, extremal_set_by_svd(ps.points))
+        assert len(calls) == 1 and calls[0][1]
+        assert calls[0][0].tobytes() == _affine_coordinates(ps.points)[0].tobytes()
+
+    @pytest.mark.parametrize("where", ["face", "edge"])
+    def test_face_and_edge_clouds(self, monkeypatch, where):
+        # J = 4 rows with x4 = 0, or with x2 = x3 = 0: flat in the chart,
+        # so qhull rejects it and the rank-reduced route takes over
+        calls = self.spy_qhull(monkeypatch)
+        cols = [0, 1, 2] if where == "face" else [0, 3]
+        for seed in range(3):
+            for n in (40, 1000):
+                x = np.zeros((n, 4))
+                x[:, cols] = sample(SamplerSpec("uniform", len(cols), 80 + seed), n)
+                ps = PointSet(x)
+                calls.clear()
+                es = extremal_set(ps)
+                shapes = [(z.shape, ok) for z, ok in calls]
+                assert shapes == [((ps.n, 3), False), ((ps.n, 2), True)][: len(cols) - 1]
+                np.testing.assert_array_equal(es.indices, extremal_set_by_svd(ps.points))
+                if n == 40:
+                    np.testing.assert_array_equal(es.indices, extremal_set(ps, method="perpoint").indices)
+
+    @pytest.mark.parametrize("J", [3, 4, 5, 6])
+    @pytest.mark.parametrize("kind", ["uniform", 0.3, 0.001])
+    def test_seed_sweep(self, J, kind):
+        # small clouds against the per-point route, n = 1000 against the
+        # centred-SVD route
+        for seed in range(5):
+            ps = PointSet(sample(self.spec(kind, J, 900 + seed), 40))
+            np.testing.assert_array_equal(extremal_set(ps).indices, extremal_set(ps, method="perpoint").indices)
+            ps = PointSet(sample(self.spec(kind, J, 950 + seed), 1000))
+            np.testing.assert_array_equal(extremal_set(ps).indices, extremal_set_by_svd(ps.points))
 
 
 class TestHausdorff:

@@ -18,8 +18,8 @@ print(f"corpus: {corpus.n_docs} docs, {corpus.n_terms} terms, {corpus.total_toke
 
 report = two_stage(corpus, l0=12, pca_dim=5, seed=7, threads=2)
 for r in report.rounds:
-    print(f"round {r.round_index}: fit {r.l_components} components "
-          f"(loglik {r.loglik:.1f}, {r.n_iters} iters) -> {r.extrema_count} extreme")
+    print(f"round {r.round}: fit {r.components} components "
+          f"(loglik {r.loglik:.1f}, {r.iterations} iters) -> {r.extrema_count} extreme")
 print("final component count:", report.final_m)
 print("all components identifiable:", bool(report.identifiable.all()))
 

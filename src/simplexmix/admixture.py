@@ -424,21 +424,23 @@ def identifiability_check(f: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """One fit-project-count round of the two-stage pipeline."""
+    """One fit-project-count round of the two-stage pipeline; its fields are
+    the keys of a round in ``fit-admixture``'s report JSON."""
 
-    round_index: int
-    l_components: int
+    round: int
+    components: int
     loglik: float
-    n_iters: int
+    iterations: int
     stop: str  # why the best restart's EM stopped (``AdmixtureModel.stop``)
-    pca_dim: int
+    pca_dim_attained: int
     explained_variance: np.ndarray
     extrema_count: int
 
 
 @dataclass(frozen=True)
 class PipelineReport:
-    """Everything the two-stage pruning run produced."""
+    """Everything the two-stage pruning run produced; its fields but
+    ``model`` are the keys of ``fit-admixture``'s report JSON."""
 
     rounds: tuple
     model: AdmixtureModel
@@ -448,7 +450,7 @@ class PipelineReport:
     term_remap: np.ndarray
     warnings: tuple
     l0: int
-    pca_dim: int
+    pca_dim: int  # as requested; each round records the dimension it attained
     seed: int
 
 
@@ -521,12 +523,12 @@ def two_stage(
         m, attained_dim, evr = _count_extrema(model.f, pca_dim, warnings)
         rounds.append(
             RoundRecord(
-                round_index=round_index,
-                l_components=l_current,
+                round=round_index,
+                components=l_current,
                 loglik=model.loglik,
-                n_iters=model.n_iters,
+                iterations=model.n_iters,
                 stop=model.stop,
-                pca_dim=attained_dim,
+                pca_dim_attained=attained_dim,
                 explained_variance=evr,
                 extrema_count=m,
             )

@@ -410,35 +410,10 @@ def _cmd_fit_admixture(args) -> list[str]:
         threads=args.threads,
     )
     args.json_out = args.json_out or _default_path(args.subcommand, ".json")
-    _write_json(
-        args.json_out,
-        {
-            "l0": report.l0,
-            "pca_dim": report.pca_dim,
-            "seed": report.seed,
-            "final_m": report.final_m,
-            "rounds": [
-                {
-                    "round": r.round_index,
-                    "components": r.l_components,
-                    "loglik": r.loglik,
-                    "iterations": r.n_iters,
-                    "stop": r.stop,
-                    "pca_dim_attained": r.pca_dim,
-                    "explained_variance": r.explained_variance,
-                    "extrema_count": r.extrema_count,
-                }
-                for r in report.rounds
-            ],
-            "loglik": report.model.loglik,
-            "smoothing": report.model.smoothing,
-            "restart": report.model.restart,
-            "identifiable": report.identifiable,
-            "choquet_note": report.choquet_note,
-            "term_remap": report.term_remap,
-            "warnings": list(report.warnings),
-        },
-    )
+    summary = {f.name: getattr(report, f.name) for f in dataclasses.fields(report) if f.name != "model"}
+    summary["rounds"] = [dataclasses.asdict(r) for r in report.rounds]
+    summary.update(loglik=report.model.loglik, smoothing=report.model.smoothing, restart=report.model.restart)
+    _write_json(args.json_out, summary)
     args.csv_dir = args.csv_dir or _out_dir()
     phi_path = os.path.join(args.csv_dir, "phi.csv")
     f_path = os.path.join(args.csv_dir, "f.csv")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,13 +27,18 @@ __all__ = [
 # Coordinates below -NEGATIVE_TOL are rejected; tiny negatives are clipped.
 NEGATIVE_TOL = 1e-12
 
-_KIND_ALIASES = {
-    "uniform": "uniform",
-    "uniform-simplex": "uniform",
-    "dirichlet": "dirichlet",
-    "point-mass": "point-mass",
-    "point-mass-mixture": "point-mass",
-}
+_KINDS = ("uniform", "dirichlet", "point-mass")
+
+
+def _integer(value, low: int, high: float, message: str) -> int:
+    """``value`` as an int in ``[low, high)``; a bool, a string, a fraction,
+    nan, inf or a value out of range raises ``ValueError(message)``."""
+    try:
+        if not isinstance(value, bool) and int(value) == value and low <= value < high:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(message)
 
 
 def validate(v) -> np.ndarray:
@@ -83,16 +88,11 @@ class SamplerSpec:
     weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        kind = _KIND_ALIASES.get(self.kind)
-        if kind is None:
-            raise ValueError(f"unknown sampler kind {self.kind!r}")
-        object.__setattr__(self, "kind", kind)
-        if int(self.J) != self.J or self.J < 2:
-            raise ValueError(f"J must be an integer >= 2, got {self.J!r}")
-        object.__setattr__(self, "J", int(self.J))
-        if not (0 <= int(self.seed) < 2**64):
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
-        object.__setattr__(self, "seed", int(self.seed))
+        kind = self.kind
+        if kind not in _KINDS:
+            raise ValueError(f"unknown sampler kind {kind!r}")
+        object.__setattr__(self, "J", _integer(self.J, 2, math.inf, f"J must be an integer >= 2, got {self.J!r}"))
+        object.__setattr__(self, "seed", _integer(self.seed, 0, 2**64, f"seed must be an integer in [0, 2**64), got {self.seed!r}"))
         if kind == "dirichlet":
             if self.alpha is None:
                 raise ValueError("dirichlet sampler requires alpha")
@@ -119,38 +119,31 @@ class SamplerSpec:
             raise ValueError("atoms/weights are only valid for the point-mass kind")
 
     def to_json(self) -> str:
-        """Serialize to a JSON object like ``{"kind":"uniform","J":3,"seed":42}``."""
-        obj = {"kind": self.kind, "J": self.J, "seed": self.seed}
-        if self.alpha is not None:
-            obj["alpha"] = list(self.alpha)
-        if self.atoms is not None:
-            obj["atoms"] = [list(a) for a in self.atoms]
-            obj["weights"] = list(self.weights)
+        """Serialize to a JSON object like ``{"kind":"uniform","J":3,"seed":42}``:
+        the keys are the fields that are not None."""
+        obj = {f.name: getattr(self, f.name) for f in fields(self) if getattr(self, f.name) is not None}
         return json.dumps(obj, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "SamplerSpec":
-        """Parse a ``to_json`` object.  A key that is not a field, or
-        ``weights`` without ``atoms``, raises ``ValueError``: none is dropped."""
+        """Parse a ``to_json`` object.  A key that is not a field, a null,
+        ``weights`` without ``atoms`` or a missing key raises ``ValueError``:
+        none is dropped or defaulted."""
         obj = json.loads(text)
         if not isinstance(obj, dict):
             raise ValueError("sampler JSON must be an object")
-        unknown = sorted(set(obj) - {"kind", "J", "seed", "alpha", "atoms", "weights"})
+        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"sampler JSON has the unknown key(s) {', '.join(map(repr, unknown))}")
+        for key, value in obj.items():
+            if value is None:
+                raise ValueError(f"sampler JSON has null for the key {key!r}")
         if "weights" in obj and "atoms" not in obj:
             raise ValueError("sampler JSON has the key 'weights' without the key 'atoms'")
-        kwargs = {}
-        try:
-            if "alpha" in obj:
-                kwargs["alpha"] = tuple(obj["alpha"])
-            if "atoms" in obj:
-                kwargs["atoms"] = tuple(tuple(a) for a in obj["atoms"])
-                kwargs["weights"] = tuple(obj["weights"])
-            kind, j_dim, seed = obj["kind"], obj["J"], obj["seed"]
-        except KeyError as exc:
-            raise ValueError(f"sampler JSON lacks the key {exc.args[0]!r}") from None
-        return cls(kind=kind, J=j_dim, seed=seed, **kwargs)
+        for key in ("weights", "kind", "J", "seed") if "atoms" in obj else ("kind", "J", "seed"):
+            if key not in obj:
+                raise ValueError(f"sampler JSON lacks the key {key!r}")
+        return cls(**obj)
 
 
 def sample(spec: SamplerSpec, n: int) -> np.ndarray:

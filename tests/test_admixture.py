@@ -483,7 +483,7 @@ class TestTwoStage:
         # 16 components for 6 true ones: round 0 runs into em_fit's 500-iteration cap
         x, _, _ = synthetic_corpus(6, 200, 500, 150, 0.98, seed=2)
         report = two_stage(x, l0=16, restarts=1, seed=2)
-        assert [(r.n_iters, r.stop) for r in report.rounds[:1]] == [(500, "max_iters")]
+        assert [(r.iterations, r.stop) for r in report.rounds[:1]] == [(500, "max_iters")]
         assert "round 0: EM stopped at the iteration cap (500) before converging" in report.warnings
         assert all(r.stop != "max_iters" for r in report.rounds[1:])
         assert sum("iteration cap" in w for w in report.warnings) == 1

@@ -137,6 +137,18 @@ class TestGrowthCommand:
         assert key in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "m.json")
 
+    @pytest.mark.parametrize("command, flag, spec, key", [
+        ("growth", "--sampler", {"kind": "dirichlet", "J": 3, "seed": 1, "alpha": None}, "alpha"),
+        ("gamma", "--sampler-g", {"kind": "point-mass", "J": 3, "seed": 1, "atoms": None, "weights": [1]}, "atoms"),
+        ("gamma", "--sampler-g", {"kind": "point-mass", "J": 3, "seed": 1, "atoms": [[1, 0, 0]], "weights": None}, "weights"),
+    ])
+    def test_sampler_json_null_exits_2(self, tmp_path, capsys, command, flag, spec, key):
+        code = main([command, "--J", "3", "--n-grid", "10,20", "--reps", "2", flag, json.dumps(spec),
+                     "--out", str(tmp_path / "g"), "--manifest", str(tmp_path / "m.json")])
+        assert code == 2
+        assert f"sampler JSON has null for the key '{key}'" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "m.json")
+
 
 class TestSeedFlag:
     @pytest.mark.parametrize("command, flag, sampler", [
@@ -338,6 +350,24 @@ class TestFitAdmixtureCommand:
         assert f.shape[0] == 3
         np.testing.assert_allclose(f.sum(axis=1), 1.0, atol=1e-9)
 
+    def test_report_keys(self, tmp_path):
+        x, _, _ = synthetic_corpus(2, 5, 60, 30, 0.9, seed=23)
+        doc = tmp_path / "docword.txt"
+        write_docword(x, doc)
+        run(["fit-admixture", "--input", str(doc), "--L0", "3", "--pca-dim", "2", "--seed", "23",
+             "--json-out", str(tmp_path / "report.json"), "--csv-dir", str(tmp_path), "--manifest", str(tmp_path / "m.json")])
+        report = json.loads(read(tmp_path / "report.json"))
+        assert set(report) == {
+            "rounds", "final_m", "identifiable", "choquet_note", "term_remap", "warnings", "l0", "pca_dim", "seed",
+            "loglik", "smoothing", "restart",
+        }
+        assert report["rounds"]
+        for r in report["rounds"]:
+            assert set(r) == {
+                "round", "components", "loglik", "iterations", "stop", "pca_dim_attained", "explained_variance",
+                "extrema_count",
+            }
+
     def test_iteration_cap_in_report(self, tmp_path):
         x, _, _ = synthetic_corpus(6, 200, 500, 150, 0.98, seed=2)
         doc = tmp_path / "docword.txt"
@@ -510,6 +540,33 @@ class TestManifestConfig:
         fit = runs["fit-admixture"]
         assert fit["json_out"] == str(tmp_path / "fit-admixture.json")
         assert fit["csv_dir"] == str(tmp_path)
+
+    @pytest.mark.parametrize("argv", [
+        ["growth", "--J", "3", "--n-grid", "10,100", "--reps", "3", "--seed", "5",
+         "--sampler", '{"kind": "dirichlet", "J": 3, "seed": 0, "alpha": [0.5, 1, 2]}'],
+        ["gamma", "--J", "3", "--n-grid", "10,100", "--reps", "3", "--seed", "6",
+         "--sampler-g", '{"kind": "point-mass", "J": 3, "seed": 0, "atoms": [[1, 0, 0], [0, 1, 0], [0.2, 0.3, 0.5]], '
+                        '"weights": [0.2, 0.3, 0.5]}'],
+        ["fit-admixture", "--L0", "3", "--pca-dim", "2", "--seed", "23"],
+    ], ids=lambda argv: argv[0])
+    def test_config_replays_to_the_same_outputs(self, tmp_path, monkeypatch, argv):
+        """A run rebuilt from its manifest's config alone writes the same bytes."""
+        monkeypatch.setenv("SIMPLEXMIX_OUT_DIR", str(tmp_path))
+        if argv[0] == "fit-admixture":
+            x, _, _ = synthetic_corpus(2, 5, 60, 30, 0.9, seed=23)
+            write_docword(x, tmp_path / "docword.txt")
+            argv = argv + ["--input", str(tmp_path / "docword.txt")]
+        run(argv)
+        manifest = json.loads(read(tmp_path / f"{argv[0]}.manifest.json"))
+        replay = [argv[0], "--manifest", str(tmp_path / "replay.json")]
+        for key, value in manifest["config"].items():
+            if isinstance(value, list):
+                value = ",".join(map(str, value))
+            elif isinstance(value, dict):
+                value = json.dumps(value)
+            replay += ["--" + key.replace("_", "-"), str(value)]
+        run(replay)
+        assert json.loads(read(tmp_path / "replay.json"))["outputs"] == manifest["outputs"]
 
     def test_polya_has_no_depth_flag(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

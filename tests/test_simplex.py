@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -40,17 +41,32 @@ class TestValidate:
 
 class TestSamplerSpec:
     def test_degenerate_dimension_rejected(self):
-        with pytest.raises(ValueError, match="J"):
-            SamplerSpec("uniform", 1, 0)
+        for j in (1, 2.5, "3", float("inf")):
+            with pytest.raises(ValueError, match="^J must be an integer >= 2, got "):
+                SamplerSpec("uniform", j, 0)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             SamplerSpec("gaussian", 3, 0)
 
     def test_kind_aliases(self):
-        assert SamplerSpec("uniform-simplex", 3, 0).kind == "uniform"
-        spec = SamplerSpec("point-mass-mixture", 2, 0, atoms=((1.0, 0.0), (0.0, 1.0)), weights=(0.5, 0.5))
-        assert spec.kind == "point-mass"
+        # only the three canonical kinds, as manifests record them
+        with pytest.raises(ValueError, match="unknown sampler kind 'uniform-simplex'"):
+            SamplerSpec("uniform-simplex", 3, 0)
+        with pytest.raises(ValueError, match="unknown sampler kind 'point-mass-mixture'"):
+            SamplerSpec("point-mass-mixture", 2, 0, atoms=((1.0, 0.0), (0.0, 1.0)), weights=(0.5, 0.5))
+
+    @pytest.mark.parametrize("seed", [1.5, "7", True, -1, 2**64, float("inf"), float("nan")])
+    def test_seed_must_be_an_integer(self, seed):
+        message = r"^seed must be an integer in \[0, 2\*\*64\), got "
+        with pytest.raises(ValueError, match=message):
+            SamplerSpec("uniform", 3, seed)
+        with pytest.raises(ValueError, match=message):
+            SamplerSpec.from_json(json.dumps({"kind": "uniform", "J": 3, "seed": seed}))
+
+    def test_integral_seed_accepted(self):
+        assert SamplerSpec("uniform", 3, 7.0).seed == 7 and SamplerSpec("uniform", 3, np.uint64(2**64 - 1)).seed == 2**64 - 1
+        assert SamplerSpec.from_json('{"kind":"uniform","J":3,"seed":7.0}').seed == 7
 
     def test_dirichlet_alpha_positive(self):
         for bad in (0.0, -1.0, np.nan, np.inf):
@@ -84,6 +100,13 @@ class TestSamplerSpec:
     def test_json_stray_key_rejected(self, text, key):
         with pytest.raises(ValueError, match=key):
             SamplerSpec.from_json(text)
+
+    @pytest.mark.parametrize("key", ["alpha", "atoms", "weights", "seed"])
+    def test_json_null_rejected(self, key):
+        spec = {"kind": "point-mass", "J": 2, "seed": 1, "atoms": [[1, 0], [0, 1]], "weights": [0.5, 0.5]}
+        for obj in ({**spec, key: None}, {"kind": "uniform", "J": 2, "seed": 1, key: None}):
+            with pytest.raises(ValueError, match=f"^sampler JSON has null for the key '{key}'$"):
+                SamplerSpec.from_json(json.dumps(obj))
 
 
 class TestSample:

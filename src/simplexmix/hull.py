@@ -16,7 +16,10 @@ points is a lower bound on its distance to their hull.  A margin above the
 tolerance proves the candidate extreme in one vectorized pass; only the
 candidates it cannot settle run the distance test, against all other points.
 The pure per-point distance route remains available and is used as a
-fallback, so every route applies the same rule.
+fallback, so every route applies the same rule.  qhull runs without
+pre-merging, and once more with it when that raises a precision error
+(``_shortlist``); either run only proposes candidates, which the certificate
+and the distance test decide.
 
 Clouds on the simplex hyperplane sum(x) = 1 need no factorization to find
 those coordinates: the plane is known before any point is drawn.  For rows x
@@ -385,12 +388,23 @@ def _certified(z: np.ndarray, hull, cand: np.ndarray, err: float = 0.0) -> np.nd
 def _shortlist(z: np.ndarray, err: float) -> ExtremalSet | None:
     """qhull's vertices of ``z``, certified or confirmed by the distance
     test, or None when qhull fails.  ``err`` bounds how far the distances in
-    ``z`` are from those between the rows it stands for (``_certified``)."""
+    ``z`` are from those between the rows it stands for (``_certified``).
+
+    qhull first runs without pre-merging (option ``Q0``): on clouds in
+    general position pre-merging only costs time.  Without it qhull stops
+    with a precision error on some clouds, skewed or small-alpha Dirichlet
+    ones among them; it then runs once more with its default merging, and
+    "qhull fails" means that both runs raised.
+    """
     from scipy.spatial import ConvexHull, QhullError
 
-    try:
-        hull = ConvexHull(z)
-    except QhullError:
+    for options in ("Q0", None):
+        try:
+            hull = ConvexHull(z, qhull_options=options)
+            break
+        except QhullError:
+            pass
+    else:
         return None
     cand = np.sort(hull.vertices.astype(np.int64))
     ok = _certified(z, hull, cand, err)
@@ -415,7 +429,9 @@ def extremal_set(ps, method: str = "auto") -> ExtremalSet:
     dimension, slower); "auto" also takes that route for affinely
     independent points, above rank 8, and when qhull fails on coordinates of
     full rank, the chart's included.  On collinear points the two ends are
-    extreme: ``PointSet`` keeps no two points within the tolerance.
+    extreme: ``PointSet`` keeps no two points within the tolerance.  qhull
+    rejects or fails on coordinates when both its run without pre-merging
+    and its merged retry raise (``_shortlist``).
     """
     if method not in ("auto", "perpoint"):
         raise ValueError(f"unknown method {method!r}")

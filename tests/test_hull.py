@@ -343,16 +343,18 @@ class TestExtremalSet:
             )
 
     def test_qhull_failure_falls_back_to_distance_scan(self, monkeypatch):
+        # both attempts on the chart fail (Q0, then merged), and the
+        # rank-reduced coordinates have the chart's rank, so no third call
         calls = []
 
-        def failing(z, *args, **kwargs):
-            calls.append(z.shape)
+        def failing(z, *args, qhull_options=None, **kwargs):
+            calls.append((z.shape, qhull_options))
             raise scipy.spatial.QhullError("forced failure")
 
         ps = PointSet(sample(SamplerSpec("uniform", 3, 41), 60))
         monkeypatch.setattr(scipy.spatial, "ConvexHull", failing)
         es = extremal_set(ps)
-        assert calls == [(ps.n, 2)]
+        assert calls == [((ps.n, 2), "Q0"), ((ps.n, 2), None)]
         np.testing.assert_array_equal(es.indices, extremal_set(ps, method="perpoint").indices)
 
     def test_auto_agrees_with_perpoint_higher_rank(self):
@@ -522,17 +524,20 @@ class TestSimplexChart:
     def spec(kind, J, seed):
         if kind == "uniform":
             return SamplerSpec("uniform", J, seed)
+        if kind == "skewed":
+            return SamplerSpec("dirichlet", J, seed, alpha=(0.05,) + (1,) * (J - 1))
         return SamplerSpec("dirichlet", J, seed, alpha=(kind,) * J)
 
     @staticmethod
     def spy_qhull(monkeypatch):
-        """The inputs of every ConvexHull call, and whether qhull took them."""
+        """The inputs and ``qhull_options`` of every ConvexHull call, and
+        whether qhull took them."""
         calls, convex_hull = [], scipy.spatial.ConvexHull
 
-        def spy(z, *args, **kwargs):
-            calls.append([z.copy(), False])
-            hull = convex_hull(z, *args, **kwargs)
-            calls[-1][1] = True
+        def spy(z, *args, qhull_options=None, **kwargs):
+            calls.append([z.copy(), qhull_options, False])
+            hull = convex_hull(z, *args, qhull_options=qhull_options, **kwargs)
+            calls[-1][2] = True
             return hull
 
         monkeypatch.setattr(scipy.spatial, "ConvexHull", spy)
@@ -566,7 +571,8 @@ class TestSimplexChart:
         calls = self.spy_qhull(monkeypatch)
         monkeypatch.setattr(hull.np.linalg, "svd", lambda *a, **k: pytest.fail("SVD of a cloud on the plane"))
         np.testing.assert_array_equal(extremal_set(ps).indices, expected)
-        assert len(calls) == 1 and calls[0][0].tobytes() == _chart(ps.points)[0].tobytes()
+        assert [(opt, ok) for _, opt, ok in calls] == [("Q0", True)]
+        assert calls[0][0].tobytes() == _chart(ps.points)[0].tobytes()
 
     @pytest.mark.parametrize("shift", ["double", "one column"])
     def test_off_plane_rows_take_the_svd_route(self, monkeypatch, shift):
@@ -578,13 +584,14 @@ class TestSimplexChart:
         ps = PointSet(x)
         calls = self.spy_qhull(monkeypatch)
         np.testing.assert_array_equal(extremal_set(ps).indices, extremal_set_by_svd(ps.points))
-        assert len(calls) == 1 and calls[0][1]
+        assert [(opt, ok) for _, opt, ok in calls] == [("Q0", True)]
         assert calls[0][0].tobytes() == _affine_coordinates(ps.points)[0].tobytes()
 
     @pytest.mark.parametrize("where", ["face", "edge"])
     def test_face_and_edge_clouds(self, monkeypatch, where):
         # J = 4 rows with x4 = 0, or with x2 = x3 = 0: flat in the chart,
-        # so qhull rejects it and the rank-reduced route takes over
+        # so qhull rejects it with and without pre-merging, and the
+        # rank-reduced route takes over (an edge is rank 1 and needs no qhull)
         calls = self.spy_qhull(monkeypatch)
         cols = [0, 1, 2] if where == "face" else [0, 3]
         for seed in range(3):
@@ -594,14 +601,36 @@ class TestSimplexChart:
                 ps = PointSet(x)
                 calls.clear()
                 es = extremal_set(ps)
-                shapes = [(z.shape, ok) for z, ok in calls]
-                assert shapes == [((ps.n, 3), False), ((ps.n, 2), True)][: len(cols) - 1]
+                shapes = [(z.shape, opt, ok) for z, opt, ok in calls]
+                flat = [((ps.n, 3), "Q0", False), ((ps.n, 3), None, False)]
+                assert shapes == (flat + [((ps.n, 2), "Q0", True)] if where == "face" else flat)
                 np.testing.assert_array_equal(es.indices, extremal_set_by_svd(ps.points))
                 if n == 40:
                     np.testing.assert_array_equal(es.indices, extremal_set(ps, method="perpoint").indices)
 
+    def test_precision_error_retries_with_merging(self, monkeypatch):
+        # a skewed J = 5 Dirichlet cloud: qhull without pre-merging stops
+        # with a precision error, and the merged retry, not the distance test
+        # on every row, gives the shortlist
+        for seed in range(6):
+            ps = PointSet(sample(SamplerSpec("dirichlet", 5, 700 + seed, alpha=(0.05, 1, 1, 1, 1)), 300))
+            tested, perpoint_keep = [], hull._perpoint_keep
+
+            def spy(z, rows=None):
+                tested.append(z.shape[0] if rows is None else len(rows))
+                return perpoint_keep(z, rows)
+
+            with monkeypatch.context() as m:
+                calls = self.spy_qhull(m)
+                m.setattr(hull, "_perpoint_keep", spy)
+                es = extremal_set(ps)
+            assert [(opt, ok) for _, opt, ok in calls] == [("Q0", False), (None, True)]
+            assert all(k < ps.n for k in tested)
+            np.testing.assert_array_equal(es.indices, extremal_set_by_svd(ps.points))
+            np.testing.assert_array_equal(es.indices, extremal_set(ps, method="perpoint").indices)
+
     @pytest.mark.parametrize("J", [3, 4, 5, 6])
-    @pytest.mark.parametrize("kind", ["uniform", 0.3, 0.001])
+    @pytest.mark.parametrize("kind", ["uniform", 0.3, 0.001, "skewed"])
     def test_seed_sweep(self, J, kind):
         # small clouds against the per-point route, n = 1000 against the
         # centred-SVD route

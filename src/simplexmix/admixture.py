@@ -288,7 +288,7 @@ def log_likelihood(x: DocTermMatrix, phi: np.ndarray, f: np.ndarray) -> float:
     pi = _pi(phi.T, f, x.doc_ids, x.term_ids)
     if np.any(pi <= 0.0):
         return -math.inf
-    return float(x.counts @ np.log(pi))
+    return float(np.einsum("i,i->", x.counts, np.log(pi)))
 
 
 def _smoothed(phi_t: np.ndarray, f: np.ndarray):
@@ -332,6 +332,8 @@ def em_fit(
     rows.  This equals the E-step (responsibilities proportional to
     phi[doc_e, l] * f[l, term_e]) followed by the count-weighted M-step, and
     counts @ log(pi) is the log-likelihood of the iterate being updated.
+    That sum is ``np.einsum``'s own loop, not BLAS ``ddot``, whose last bits
+    change with the BLAS thread count.
 
     Phi is held as its (L, docs) transpose until the restart ends, so pi is
     built one component at a time from contiguous rows (``_pi``).  R is one
@@ -377,7 +379,7 @@ def em_fit(
         trace, previous = [], None
         while True:
             pi = _pi(phi_t, f, doc, term)
-            ll = float(counts.data @ np.log(pi)) if pi.min() > 0.0 else -math.inf
+            ll = float(np.einsum("i,i->", counts.data, np.log(pi))) if pi.min() > 0.0 else -math.inf
             if trace and ll < trace[-1]:
                 phi_t, f = previous  # numerical plateau; keep the previous iterate
                 stop = "plateau"

@@ -103,10 +103,10 @@ class PointSet:
 def _dedup(pts: np.ndarray, tol: float) -> np.ndarray:
     """Drop near-duplicate rows, keeping the first occurrence, order preserved.
 
-    Pair-greedy rule: pairs within ``tol`` are visited in index order, and the
-    later row is dropped unless one of the two is gone already.  Rows are
-    sorted by their projection onto a fixed unit direction (not parallel to
-    all-ones, on which simplex clouds are flat); a pair within ``tol``
+    Kept-row rule: a row is dropped exactly when an earlier kept row lies
+    within ``tol`` of it (an exact copy of a kept row is one such row).  Rows
+    are sorted by their projection onto a fixed unit direction (not parallel
+    to all-ones, on which simplex clouds are flat); a pair within ``tol``
     projects within the window ``width``.  In sorted order a pair's projected
     difference is at least each adjacent gap between them, so every one of
     those gaps is a near gap (within the window).  There are three exits:
@@ -118,20 +118,27 @@ def _dedup(pts: np.ndarray, tol: float) -> np.ndarray:
       positions a < b makes gaps a, ..., b - 1 all near; if b > a + 1, gaps
       a and a + 1 are near and adjacent.  So b = a + 1, and only the two
       rows at a near gap can pair.  When none of these pairs is within
-      ``tol`` by the sweep's own test, the rows come back unchanged as above.
-    - sweep: otherwise only the sorted positions at a near gap can pair, and
-      a run of them pairs only within itself (a gap past the window
-      separates runs).  The rest of the work, exact copies and the pair
-      sweep, runs on those positions alone.
+      ``tol`` by the pass's own distance test, the rows come back unchanged
+      as above.
+    - greedy pass: otherwise only the rows at a near gap (the sweep region)
+      can pair.  The pass visits them in row order and skips a row already
+      dropped.  Each row it visits is kept, and drops every later row within
+      ``tol`` of it among those projecting within its window, found by two
+      binary searches in the sorted projections.
 
     Of uniform clouds, the three exits took 81.2 / 18.8 / 0.0% at J=3,
     n=1000 (4000 clouds); 4.2 / 95.8 / 0.0% at J=5, n=3162 (600); and
     0.0 / 88.7 / 11.3% at J=5, n=10**4 (300).
 
-    An exact copy of an earlier row goes at once, and leaves the sweep, so a
-    row drawn m times costs no m**2 pairs: the rule drops it, at its pair
-    with that row or with the row that dropped that row, before it can drop
-    another row.
+    The pass costs one Python step per kept row of the sweep region, and a
+    dropped row costs only its skip, so a cluster of m copies costs one step
+    for its first row and one distance test per copy.  Its worst case is a
+    chain of rows 1.5 * tol apart along the projection direction: every
+    gap is near and every row is kept, so every row takes a step.  Such a
+    chain of 10**4 rows at J=3 took 62 ms on a 2-vCPU Xeon VM, against
+    6 ms for a J=3 Dirichlet(0.001) cloud of 10**4 rows; the cost stays
+    linear in n while each window holds a few rows.  No CLI sampler draws
+    such a chain.
     """
     n, d = pts.shape
     w = np.cos(np.arange(1.0, d + 1.0))
@@ -153,33 +160,18 @@ def _dedup(pts: np.ndarray, tol: float) -> np.ndarray:
             return pts.copy()
     pos = np.union1d(near, near + 1)
     order, s = order[pos], s[pos]
-    sweep = np.lexsort((order, s))  # equal projections in row order
-    order, s = order[sweep], s[sweep]
-    tie = np.flatnonzero(s[1:] == s[:-1]) + 1
-    copy = tie[(pts[order[tie]] == pts[order[tie - 1]]).all(axis=1)]
+    lo = np.searchsorted(s, s - width)
+    hi = np.searchsorted(s, s + width, side="right")
     drop = np.zeros(n, dtype=bool)
-    drop[order[copy]] = True
-    order, s = np.delete(order, copy), np.delete(s, copy)
-    # Position a pairs with a + k while s[a + k] - s[a] <= width; a position
-    # out of its window at offset k stays out at k + 1.
-    window = [np.empty((0, 2), dtype=np.intp)]
-    a, k = np.arange(s.size - 1), 1
-    while a.size:
-        a = a[s[a + k] - s[a] <= width]
-        window.append(np.column_stack([a, a + k]))
-        k += 1
-        a = a[a + k < s.size]
-    i, j = order[np.concatenate(window).T]
-    close = ((pts[i] - pts[j]) ** 2).sum(axis=1) <= tol * tol
-    i, j = np.minimum(i, j)[close], np.maximum(i, j)[close]
-    # One step per earlier row i, in row order: rows before i set drop[i]
-    # before its step, and its step sets only later rows, so dropping all of
-    # i's partners at once drops what visiting its pairs one by one would.
-    by_i = np.argsort(i, kind="stable")
-    first, start = np.unique(i[by_i], return_index=True)
-    for a, later in zip(first, np.split(j[by_i], start[1:])):
-        if not drop[a]:
-            drop[later] = True
+    # Rows in row order: rows before i set drop[i] before its step, so a row
+    # visited and not dropped is kept, and drops the later rows near it.
+    for a in np.argsort(order).tolist():
+        i = order[a]
+        if drop[i]:
+            continue
+        later = order[lo[a]:hi[a]]
+        later = later[later > i]
+        drop[later[((pts[later] - pts[i]) ** 2).sum(axis=1) <= tol * tol]] = True
     return pts[~drop]
 
 

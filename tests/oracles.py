@@ -277,7 +277,8 @@ def em_row_major(x, l_comp: int, max_iters: int, restarts: int, seed: int, rel_t
     Each pi_e gathers the rows phi[doc_e] and f.T[term_e] into (nnz, L)
     arrays, multiplies them, and adds the L columns left to right.  R @ F.T
     and R.T @ Phi are products of a document-major CSR matrix with dense
-    (·, L) arrays.  Same start, stopping rules and tie-break as ``em_fit``.
+    (·, L) arrays.  Same start, stopping rules, tie-break and log-likelihood
+    sum (``np.einsum``) as ``em_fit``.
     Returns the best restart as (phi, f, loglik_trace, stop, restart).
     """
     from scipy.sparse import csr_matrix
@@ -317,7 +318,7 @@ def em_row_major(x, l_comp: int, max_iters: int, restarts: int, seed: int, rel_t
         trace, previous = [], None
         while True:
             pi = row_sums(np.take(phi, doc, axis=0) * np.take(f.T, term, axis=0))
-            ll = float(counts.data @ np.log(pi)) if pi.min() > 0.0 else -np.inf
+            ll = float(np.einsum("i,i->", counts.data, np.log(pi))) if pi.min() > 0.0 else -np.inf
             if trace and ll < trace[-1]:
                 phi, f = previous
                 stop = "plateau"

@@ -1,4 +1,8 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,6 +291,27 @@ class TestEmFit:
             assert a.f.tobytes() == b.f.tobytes() == c.f.tobytes()
             assert a.loglik == b.loglik == c.loglik
 
+    BLAS_SCRIPT = """
+from simplexmix.admixture import em_fit, log_likelihood, synthetic_corpus
+x, _, _ = synthetic_corpus(3, 40, 12000, 100, 0.98, seed=1)
+model = em_fit(x, 3, restarts=2, seed=0)
+print(model.loglik.hex(), log_likelihood(x, model.phi, model.f).hex())
+"""
+
+    def test_loglik_independent_of_blas_threads(self):
+        # the admix-ingest corpus shape, 43577 non-zeros: a BLAS dot product
+        # of that length ends in different bits at one and two threads
+        src = str(Path(admixture.__file__).parents[1])
+        outs = []
+        for blas in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": blas,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            proc = subprocess.run([sys.executable, "-c", self.BLAS_SCRIPT], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+
     def test_permutation_equivariance(self):
         x, _, _ = synthetic_corpus(3, 7, 70, 40, 0.8, seed=6)
         perm = np.array([3, 0, 6, 1, 5, 2, 4])
@@ -424,7 +449,7 @@ class TestComponentMajorEm:
         pi = admixture._pi(np.ascontiguousarray(model.phi.T), model.f, x.doc_ids, x.term_ids)
         rows = np.take(model.phi, x.doc_ids, axis=0) * np.take(model.f.T, x.term_ids, axis=0)
         assert pi.tobytes() == admixture._row_sums(rows).tobytes()
-        assert log_likelihood(x, model.phi, model.f) == float(x.counts @ np.log(pi))
+        assert log_likelihood(x, model.phi, model.f) == float(np.einsum("i,i->", x.counts, np.log(pi)))
 
 
 class TestIdentifiabilityCheck:

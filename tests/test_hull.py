@@ -1,9 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
 import scipy.spatial
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, cKDTree
 from scipy.spatial.distance import pdist
 
 from oracles import (
@@ -191,10 +192,12 @@ class TestPointSet:
 
     def test_clustered_cloud(self):
         # Dirichlet(0.001) rows pile up at the vertices, exact copies and
-        # rows within the tolerance of many others: the greedy rule visits
-        # long runs of pairs that share their earlier row.  Six more rows
-        # make a chain 0.6 * tol apart: the first drops the second, which
-        # leaves the third to drop the fourth, and so on.
+        # rows within the tolerance of many others: each kept row drops a
+        # whole cluster of later rows at once.  Six more rows make a chain
+        # 0.6 * tol apart: the first drops the second, which leaves the third
+        # to drop the fourth, and so on.  Last, the greedy pass's worst case:
+        # 2000 rows 1.5 * tol apart along the projection direction, shuffled;
+        # every gap is near and every row is kept.
         step = np.array([1.0, -1.0, 0.0]) * 0.6 * EXTREME_TOL / np.sqrt(2.0)
         chain = np.full(3, 1.0 / 3.0) + np.arange(6.0)[:, None] * step
         for seed in (1, 2):
@@ -202,6 +205,36 @@ class TestPointSet:
             kept = self.assert_pair_rule(cloud).shape[0]
             assert kept < np.unique(cloud, axis=0).shape[0] // 10
             assert self.assert_pair_rule(np.vstack([cloud, chain])).shape[0] == kept + 3
+        _, _, w = self.sorted_gaps(chain)
+        spaced = np.full(3, 1.0 / 3.0) + np.arange(2000.0)[:, None] * 1.5 * EXTREME_TOL * w
+        spaced = spaced[np.random.default_rng(5).permutation(2000)]
+        gaps, width, _ = self.sorted_gaps(spaced)
+        assert (gaps <= width).all()
+        assert self.assert_pair_rule(spaced).shape[0] == 2000
+
+    @pytest.mark.parametrize("J", [3, 4])
+    def test_clustered_cloud_at_scale(self, J):
+        # 1e5 Dirichlet(0.001) rows, too many for the oracle's pair list.  The
+        # rule holds iff no two kept rows lie within tol and every dropped row
+        # lies within tol of an earlier kept row; together these fix the kept
+        # set.  A kept row is the first row of its value, so its index is
+        # that value's first occurrence.
+        cloud = sample(SamplerSpec("dirichlet", J, 17, alpha=(0.001,) * J), 100_000)
+        start = time.perf_counter()
+        kept = PointSet(cloud).points
+        assert time.perf_counter() - start < 5.0
+        first = {}
+        for j, row in enumerate(cloud.tolist()):
+            first.setdefault(tuple(row), j)
+        idx = np.array([first[tuple(row)] for row in kept.tolist()])
+        assert (np.diff(idx) > 0).all()
+        np.testing.assert_array_equal(cloud[idx], kept)
+        tree = cKDTree(kept)
+        assert not tree.query_pairs(EXTREME_TOL)
+        dropped = np.setdiff1d(np.arange(cloud.shape[0]), idx)
+        near = tree.query_ball_point(cloud[dropped], EXTREME_TOL)
+        assert all(rows and idx[min(rows)] < j for rows, j in zip(near, dropped.tolist()))
+        assert kept.shape[0] < cloud.shape[0] // 10
 
     def test_input_not_aliased(self):
         x = np.random.default_rng(2).random((20, 3))

@@ -4,122 +4,23 @@ Simplex samplers, convex-hull extremal sets and growth experiments, unique
 barycentric (Choquet) weight recovery over simplex frames, Polya tree
 posterior weight estimation, and a two-stage admixture fitting pipeline that
 prunes a generous component budget down to the identifiable ones.
+
+The package re-exports the ``__all__`` of each module below; those lists are
+the one declaration of the public names.  ``cli`` is the console entry point
+and is not re-exported.
 """
 
 __version__ = "0.1.0"
 
-from .admixture import (
-    AdmixtureModel,
-    DocTermMatrix,
-    PipelineReport,
-    em_fit,
-    identifiability_check,
-    load_docword,
-    synthetic_corpus,
-    two_stage,
-)
-from .asymptotics import (
-    DEFAULT_N_GRID,
-    CLTReport,
-    ExchangeabilityBound,
-    ExperimentConfig,
-    GammaSequence,
-    GrowthCurve,
-    GrowthFit,
-    clt_experiment,
-    definetti_bound,
-    fit_growth,
-    gamma_experiment,
-    growth_experiment,
-    hull_limit_experiment,
-    ks_distance,
-    normal_cdf,
-)
-from .choquet import (
-    ChoquetMeasure,
-    FrameConditionError,
-    OutsideHullError,
-    SimplexFrame,
-    choquet_measure,
-    make_frame,
-    reconstruct,
-)
-from .hull import (
-    ExtremalSet,
-    PCAResult,
-    PointSet,
-    c_constant,
-    count_towers,
-    extremal_set,
-    is_extreme,
-    pca_project,
-    point_to_hull_distance,
-)
-from .polya import (
-    AtomEmbedding,
-    PolyaTreeParams,
-    PolyaTreePosterior,
-    build_params,
-    convergence_trace,
-    minimax_rate,
-    posterior_update,
-    prior_posterior,
-    weight_estimate,
-)
-from .simplex import SamplerSpec, child_seed, sample, validate
+from . import admixture, asymptotics, choquet, hull, polya, simplex
+from .admixture import *
+from .asymptotics import *
+from .choquet import *
+from .hull import *
+from .polya import *
+from .simplex import *
 
-__all__ = [
-    "__version__",
-    "AdmixtureModel",
-    "AtomEmbedding",
-    "CLTReport",
-    "ChoquetMeasure",
-    "DEFAULT_N_GRID",
-    "DocTermMatrix",
-    "ExchangeabilityBound",
-    "ExperimentConfig",
-    "ExtremalSet",
-    "FrameConditionError",
-    "GammaSequence",
-    "GrowthCurve",
-    "GrowthFit",
-    "OutsideHullError",
-    "PCAResult",
-    "PipelineReport",
-    "PointSet",
-    "PolyaTreeParams",
-    "PolyaTreePosterior",
-    "SamplerSpec",
-    "SimplexFrame",
-    "build_params",
-    "c_constant",
-    "child_seed",
-    "choquet_measure",
-    "clt_experiment",
-    "convergence_trace",
-    "count_towers",
-    "definetti_bound",
-    "em_fit",
-    "extremal_set",
-    "fit_growth",
-    "gamma_experiment",
-    "growth_experiment",
-    "hull_limit_experiment",
-    "identifiability_check",
-    "is_extreme",
-    "ks_distance",
-    "load_docword",
-    "make_frame",
-    "minimax_rate",
-    "normal_cdf",
-    "pca_project",
-    "point_to_hull_distance",
-    "posterior_update",
-    "prior_posterior",
-    "reconstruct",
-    "sample",
-    "synthetic_corpus",
-    "two_stage",
-    "validate",
-    "weight_estimate",
-]
+__all__ = ["__version__"]
+for _module in (admixture, asymptotics, choquet, hull, polya, simplex):
+    __all__ += _module.__all__
+del _module

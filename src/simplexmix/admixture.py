@@ -281,9 +281,13 @@ def log_likelihood(x: DocTermMatrix, phi: np.ndarray, f: np.ndarray) -> float:
     """sum_ij x_ij log((phi @ f)_ij), the parameter-dependent likelihood part.
 
     Each pi_e comes from ``_pi``, as in ``em_fit``, so every pi_e agrees
-    with ``em_fit``'s bit for bit.  The final sum over entries runs in
-    ``x``'s triplet order, where ``em_fit`` sums in document order, so the
-    two log-likelihoods agree up to the rounding of that one dot product.
+    with ``em_fit``'s bit for bit.  The final sum is an ``np.einsum`` over
+    entries in ``x``'s triplet order, where ``em_fit``'s runs in document
+    order.  When ``x``'s triplets are in document order (``doc_ids`` never
+    decreases, as in ``synthetic_corpus`` output and sorted UCI files) the
+    two add the same terms in the same order, and ``log_likelihood(x,
+    m.phi, m.f) == m.loglik`` for ``m = em_fit(x, ...)`` exactly.  In any
+    other order they agree up to the rounding of that one sum.
     """
     pi = _pi(phi.T, f, x.doc_ids, x.term_ids)
     if np.any(pi <= 0.0):

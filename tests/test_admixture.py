@@ -243,6 +243,13 @@ class TestEmFit:
         assert model.loglik == pytest.approx(
             dense_log_likelihood(dense, model.phi, model.f), rel=1e-8
         )
+        # the triplets are in document order, so both sum in the same order
+        assert model.loglik == log_likelihood(x, model.phi, model.f)
+
+    def test_loglik_shuffled_matches_to_rounding(self):
+        # in another triplet order the two sums round differently
+        x = _shuffled(synthetic_corpus(3, 8, 60, 40, 0.7, seed=1)[0], 0)
+        model = em_fit(x, 3, max_iters=50, restarts=2, seed=1)
         assert model.loglik == pytest.approx(log_likelihood(x, model.phi, model.f), rel=1e-12)
 
     def test_trace_non_decreasing(self):

@@ -433,6 +433,15 @@ class TestExtremalSet:
             rank = np.linalg.matrix_rank(ps.points - ps.points.mean(axis=0))
             assert extremal_set(ps).f0 >= min(rank + 1, ps.n)
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 14")
+    @pytest.mark.parametrize("j", [3, 4])
+    def test_vertex_count_lower_bound_small_alpha(self, j):
+        # rows cluster along the edges a few tol apart near each vertex, and the
+        # whole cluster rules itself non-extreme: f0 = 2 at seed 0 for J = 3 and 4
+        ps = PointSet(sample(SamplerSpec("dirichlet", j, 0, alpha=(0.001,) * j), 10_000))
+        rank = np.linalg.matrix_rank(ps.points - ps.points.mean(axis=0))
+        assert extremal_set(ps).f0 >= min(rank + 1, ps.n)
+
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
             extremal_set(PointSet(np.zeros((3, 2))))

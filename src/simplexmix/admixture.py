@@ -21,7 +21,7 @@ import numpy as np
 from .choquet import make_frame
 from .hull import PointSet, _centered_svd, _perpoint_keep, extremal_set, pca_project
 from .hull import point_to_hull_distance  # noqa: F401  (a call site that perfbench/tracing.py wraps)
-from .simplex import _map_indexed, child_seed
+from .simplex import _integer, _map_indexed, child_seed
 
 __all__ = [
     "DocTermMatrix",
@@ -52,7 +52,8 @@ def _check_pair_key(n_docs, n_terms, what: str) -> None:
 
 @dataclass(frozen=True)
 class DocTermMatrix:
-    """Sparse counts as parallel triplet arrays, ingestion order preserved."""
+    """Sparse counts as parallel triplet arrays, stable-sorted by document at
+    construction: within a document the triplets keep the order given."""
 
     n_docs: int
     n_terms: int
@@ -66,6 +67,9 @@ class DocTermMatrix:
         cnt = np.asarray(self.counts, dtype=np.int64)
         if not (doc.shape == term.shape == cnt.shape) or doc.ndim != 1:
             raise ValueError("doc_ids, term_ids and counts must be 1-D arrays of equal length")
+        for name in ("n_docs", "n_terms"):
+            value = getattr(self, name)
+            object.__setattr__(self, name, _integer(value, 0, math.inf, f"{name} must be an integer >= 0, got {value!r}"))
         _check_pair_key(self.n_docs, self.n_terms, "dimensions")
         if doc.size:
             if doc.min() < 0 or doc.max() >= self.n_docs:
@@ -77,6 +81,9 @@ class DocTermMatrix:
             key = doc * self.n_terms + term
             if not _increasing(key) and not _increasing(np.sort(key)):
                 raise ValueError("duplicate (doc, term) pairs; merge them before construction")
+            if np.any(doc[1:] < doc[:-1]):
+                order = np.argsort(doc, kind="stable")
+                doc, term, cnt = doc[order], term[order], cnt[order]
         for arr in (doc, term, cnt):
             arr.setflags(write=False)
         object.__setattr__(self, "doc_ids", doc)
@@ -105,8 +112,10 @@ def load_docword(source) -> DocTermMatrix:
     file object whose ``read()`` returns ``bytes`` or ``str``.  The content
     is three header lines (D, W, NNZ) followed by NNZ lines "docID wordID
     count" with 1-indexed ids; blank lines (empty or whitespace only, as
-    ``str.strip`` sees it) are skipped.  Duplicate (doc, term) pairs are
-    summed into the first occurrence; ids come back 0-indexed.  Declared
+    ``str.strip`` sees it) are skipped.  The lines may come in any order:
+    unless the (doc, term) pairs strictly increase, as in UCI files, they
+    come back sorted, each repeated pair's counts summed, so the line order
+    changes nothing.  Ids come back 0-indexed.  Declared
     dimensions are kept even if some terms never occur.  The first
     malformed line is named when the body does not parse; out-of-range ids
     and non-positive counts are reported for the first line that has one.
@@ -114,8 +123,6 @@ def load_docword(source) -> DocTermMatrix:
     The body is parsed by one ``np.loadtxt`` over its lines, which skips
     the same blank lines; only when that fails, or finds other than NNZ
     rows of three, are the blank lines filtered out to name the error.
-    Bodies whose (doc, term) pairs strictly increase, as UCI files do, skip
-    the merge of duplicates.
     """
     if hasattr(source, "read"):
         raw = source.read()
@@ -177,14 +184,11 @@ def load_docword(source) -> DocTermMatrix:
     doc, term = doc - 1, term - 1
     key = doc * n_terms + term
     if not _increasing(key):
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        if first.size < doc.size:
-            # Sum each pair's counts into its first occurrence, keeping that order.
-            order = np.argsort(first)
-            merged = np.zeros(first.size, dtype=np.int64)
-            np.add.at(merged, inverse, cnt)
-            keep = first[order]
-            doc, term, cnt = doc[keep], term[keep], merged[order]
+        # Sort the pairs and sum each repeated pair's counts.
+        key, inverse = np.unique(key, return_inverse=True)
+        merged = np.zeros(key.size, dtype=np.int64)
+        np.add.at(merged, inverse, cnt)
+        (doc, term), cnt = np.divmod(key, n_terms), merged
     return DocTermMatrix(n_docs=n_docs, n_terms=n_terms, doc_ids=doc, term_ids=term, counts=cnt)
 
 
@@ -278,21 +282,16 @@ def _pi(phi_t: np.ndarray, f: np.ndarray, doc: np.ndarray, term: np.ndarray) -> 
 
 
 def log_likelihood(x: DocTermMatrix, phi: np.ndarray, f: np.ndarray) -> float:
-    """sum_ij x_ij log((phi @ f)_ij), the parameter-dependent likelihood part.
+    """sum_ij x_ij log((phi @ f)_ij), the parameter-dependent likelihood part,
+    by ``_pi`` and ``_loglik`` as in ``em_fit``: it equals ``m.loglik`` for
+    ``m = em_fit(x, ...)`` exactly."""
+    return _loglik(x.counts, _pi(phi.T, f, x.doc_ids, x.term_ids))
 
-    Each pi_e comes from ``_pi``, as in ``em_fit``, so every pi_e agrees
-    with ``em_fit``'s bit for bit.  The final sum is an ``np.einsum`` over
-    entries in ``x``'s triplet order, where ``em_fit``'s runs in document
-    order.  When ``x``'s triplets are in document order (``doc_ids`` never
-    decreases, as in ``synthetic_corpus`` output and sorted UCI files) the
-    two add the same terms in the same order, and ``log_likelihood(x,
-    m.phi, m.f) == m.loglik`` for ``m = em_fit(x, ...)`` exactly.  In any
-    other order they agree up to the rounding of that one sum.
-    """
-    pi = _pi(phi.T, f, x.doc_ids, x.term_ids)
-    if np.any(pi <= 0.0):
-        return -math.inf
-    return float(np.einsum("i,i->", x.counts, np.log(pi)))
+
+def _loglik(counts: np.ndarray, pi: np.ndarray) -> float:
+    """counts @ log(pi) by ``np.einsum``'s own loop, not BLAS ``ddot``, whose last
+    bits change with the BLAS thread count; -inf unless every pi is positive."""
+    return float(np.einsum("i,i->", counts, np.log(pi))) if np.min(pi, initial=math.inf) > 0.0 else -math.inf
 
 
 def _smoothed(phi_t: np.ndarray, f: np.ndarray):
@@ -336,8 +335,7 @@ def em_fit(
     rows.  This equals the E-step (responsibilities proportional to
     phi[doc_e, l] * f[l, term_e]) followed by the count-weighted M-step, and
     counts @ log(pi) is the log-likelihood of the iterate being updated.
-    That sum is ``np.einsum``'s own loop, not BLAS ``ddot``, whose last bits
-    change with the BLAS thread count.
+    That sum is ``_loglik``'s, which ``log_likelihood`` shares.
 
     Phi is held as its (L, docs) transpose until the restart ends, so pi is
     built one component at a time from contiguous rows (``_pi``).  R is one
@@ -360,18 +358,16 @@ def em_fit(
         raise ValueError("restarts must be >= 1")
     if x.nnz == 0:
         raise ValueError("empty matrix: nothing to fit")
-    totals = x.doc_totals()
-    if np.any(totals == 0):
-        raise ValueError(f"empty document (id {int(np.flatnonzero(totals == 0)[0])}); every document needs >= 1 token")
+    entries = np.bincount(x.doc_ids, minlength=x.n_docs)
+    if np.any(entries == 0):
+        raise ValueError(f"empty document (id {int(np.flatnonzero(entries == 0)[0])}); every document needs >= 1 token")
     if l_comp > x.total_tokens:
         raise ValueError(f"more components ({l_comp}) than tokens ({x.total_tokens})")
-    # The counts as a CSR matrix, triplets in document order; the restarts
-    # share its structure and each fills a data array of its own with R.
-    # Its CSC view R.T adds each term's products in document order.
-    order = np.argsort(x.doc_ids, kind="stable")
-    doc, term = x.doc_ids[order], x.term_ids[order]
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(doc, minlength=x.n_docs))))
-    counts = csr_matrix((x.counts[order].astype(np.float64), term, indptr), shape=(x.n_docs, x.n_terms))
+    # The counts as a CSR matrix over x's triplets, already in document order;
+    # the restarts share its structure and each fills a data array of its own
+    # with R.  Its CSC view R.T adds each term's products in document order.
+    indptr = np.concatenate(([0], np.cumsum(entries)))
+    counts = csr_matrix((x.counts.astype(np.float64), x.term_ids, indptr), shape=(x.n_docs, x.n_terms))
 
     def run_restart(restart: int) -> AdmixtureModel:
         rng = np.random.default_rng(child_seed(seed, restart))
@@ -382,8 +378,8 @@ def em_fit(
         ratio_csc = ratio.T  # shares ratio.data, so it sees each np.divide below
         trace, previous = [], None
         while True:
-            pi = _pi(phi_t, f, doc, term)
-            ll = float(np.einsum("i,i->", counts.data, np.log(pi))) if pi.min() > 0.0 else -math.inf
+            pi = _pi(phi_t, f, x.doc_ids, x.term_ids)
+            ll = _loglik(counts.data, pi)
             if trace and ll < trace[-1]:
                 phi_t, f = previous  # numerical plateau; keep the previous iterate
                 stop = "plateau"
@@ -472,11 +468,11 @@ def _count_extrema(f: np.ndarray, pca_dim: int, warnings: list) -> tuple[int, in
         warnings.append(
             f"pca dimension reduced from {pca_dim} to attainable rank {attained}"
         )
-    if attained >= 2 and distinct.shape[0] > attained:
+    if attained >= 2:  # centred rows have rank < rows, so there are more rows than dimensions
         res = pca_project(distinct, attained)
         count = extremal_set(res.pointset).f0
         return count, attained, res.explained_variance_ratio
-    # Rank or size too small to project; count in the original coordinates.
+    # Rank too small to project; count in the original coordinates.
     count = extremal_set(ps).f0
     return count, 0, np.asarray([])
 

@@ -344,8 +344,8 @@ def docword_by_lines(raw: bytes):
     Blank lines are skipped; three header lines D, W, NNZ precede NNZ
     "doc term count" lines with 1-indexed ids.  Each line is checked in file
     order (token count, integers, doc range, term range, positive count), and
-    a repeated (doc, term) pair adds its count to the first occurrence, whose
-    position is kept.  Returns (D, W, doc_ids, term_ids, counts), 0-indexed.
+    a repeated (doc, term) pair adds its count to the pair's total.  Returns
+    (D, W, doc_ids, term_ids, counts), 0-indexed, in (doc, term) order.
     """
     lines = [ln for ln in raw.decode("utf-8").splitlines() if ln.strip()]
     if len(lines) < 3:
@@ -357,8 +357,7 @@ def docword_by_lines(raw: bytes):
     body = lines[3:]
     if len(body) != nnz:
         raise ValueError(f"header declares NNZ={nnz} but body has {len(body)} entries")
-    doc_ids, term_ids, counts = [], [], []
-    seen: dict[tuple[int, int], int] = {}
+    totals: dict[tuple[int, int], int] = {}
     for ln in body:
         parts = ln.split()
         if len(parts) != 3:
@@ -370,15 +369,10 @@ def docword_by_lines(raw: bytes):
             raise ValueError(f"term id {w} out of range 1..{n_terms}")
         if c < 1:
             raise ValueError(f"count must be positive, got {c} on line {ln!r}")
-        key = (d - 1, w - 1)
-        if key in seen:
-            counts[seen[key]] += c
-        else:
-            seen[key] = len(doc_ids)
-            doc_ids.append(d - 1)
-            term_ids.append(w - 1)
-            counts.append(c)
-    return n_docs, n_terms, np.asarray(doc_ids), np.asarray(term_ids), np.asarray(counts)
+        totals[d - 1, w - 1] = totals.get((d - 1, w - 1), 0) + c
+    pairs = sorted(totals)
+    doc_ids, term_ids = [d for d, _ in pairs], [w for _, w in pairs]
+    return n_docs, n_terms, np.asarray(doc_ids), np.asarray(term_ids), np.asarray([totals[p] for p in pairs])
 
 
 def savetxt_17g(a: np.ndarray) -> bytes:

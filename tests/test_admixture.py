@@ -68,6 +68,21 @@ class TestLoadDocword:
             load_docword(b"2\n" + b"1" + b"0" * 23 + b"\n1\n1 1 3\n")
         assert load_docword(b"1\n9223372036854775807\n0\n").nnz == 0  # D * W = 2^63 - 1
 
+    def test_line_order_changes_nothing(self):
+        # a shuffled body with repeated pairs reads as the sorted, merged body
+        rng = np.random.default_rng(7)
+        x = load_docword(_sorted_docword(rng, 30, 12, 200, repeat=0.2))
+        rows = []
+        for d, w, c in zip(x.doc_ids + 1, x.term_ids + 1, x.counts):  # each count split over 1-3 lines
+            parts = np.diff(np.unique([0, *rng.integers(0, c, 2), c]))
+            rows += [f"{d} {w} {k}" for k in parts]
+        rng.shuffle(rows)
+        shuffled = load_docword((f"{x.n_docs}\n{x.n_terms}\n{len(rows)}\n" + "\n".join(rows) + "\n").encode())
+        assert len(rows) > x.nnz
+        assert (shuffled.n_docs, shuffled.n_terms) == (x.n_docs, x.n_terms)
+        for got, expected in ((shuffled.doc_ids, x.doc_ids), (shuffled.term_ids, x.term_ids), (shuffled.counts, x.counts)):
+            assert got.dtype == expected.dtype and got.tolist() == expected.tolist()
+
     def test_reads_bytes_and_files(self, tmp_path):
         text = "1\n2\n1\n1 2 7\n"
         path = tmp_path / "docword.txt"
@@ -206,6 +221,35 @@ class TestDocTermMatrix:
         with pytest.raises(ValueError, match="positive"):
             DocTermMatrix(1, 2, np.array([0]), np.array([1]), np.array([0]))
 
+    @pytest.mark.parametrize(
+        "args, field",
+        [
+            ((-1, -4, [], [], []), "n_docs"),
+            ((2.5, 3, [0], [1], [2]), "n_docs"),
+            ((True, 3, [], [], []), "n_docs"),
+            ((2, -4, [], [], []), "n_terms"),
+            ((2, "3", [], [], []), "n_terms"),
+        ],
+    )
+    def test_impossible_dimensions_rejected(self, args, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= 0"):
+            DocTermMatrix(*args)
+
+    def test_dimensions_become_ints(self):
+        x = DocTermMatrix(np.int64(2), 3.0, [1, 0], [2, 1], [4, 5])
+        assert type(x.n_docs) is int and type(x.n_terms) is int
+        assert x.doc_totals().tolist() == [5, 4]
+
+    def test_triplets_kept_in_document_order(self):
+        # doc_ids come out non-decreasing; within a document the given order stays
+        doc, term, cnt = [2, 0, 1, 0, 2, 1, 0], [0, 3, 2, 1, 3, 0, 2], [1, 2, 3, 4, 5, 6, 7]
+        x = DocTermMatrix(3, 4, doc, term, cnt)
+        assert x.doc_ids.tolist() == [0, 0, 0, 1, 1, 2, 2]
+        assert x.term_ids.tolist() == [3, 1, 2, 2, 0, 0, 3]
+        assert x.counts.tolist() == [2, 4, 7, 3, 6, 1, 5]
+        y = _shuffled(synthetic_corpus(3, 8, 60, 40, 0.7, seed=1)[0], 0)
+        assert np.all(np.diff(y.doc_ids) >= 0)
+
     def test_pair_key_overflow_rejected(self):
         # two distinct pairs whose int64 keys doc * W + term would coincide
         with pytest.raises(ValueError, match="2\\^63"):
@@ -246,11 +290,11 @@ class TestEmFit:
         # the triplets are in document order, so both sum in the same order
         assert model.loglik == log_likelihood(x, model.phi, model.f)
 
-    def test_loglik_shuffled_matches_to_rounding(self):
-        # in another triplet order the two sums round differently
+    def test_loglik_shuffled_matches_exactly(self):
+        # shuffled triplets are put in document order, so both sums still agree
         x = _shuffled(synthetic_corpus(3, 8, 60, 40, 0.7, seed=1)[0], 0)
         model = em_fit(x, 3, max_iters=50, restarts=2, seed=1)
-        assert model.loglik == pytest.approx(log_likelihood(x, model.phi, model.f), rel=1e-12)
+        assert model.loglik == log_likelihood(x, model.phi, model.f)
 
     def test_trace_non_decreasing(self):
         x, _, _ = synthetic_corpus(3, 8, 80, 30, 0.9, seed=2)
@@ -484,6 +528,28 @@ class TestIdentifiabilityCheck:
     def test_bad_input_rejected(self, f):
         with pytest.raises(ValueError):
             identifiability_check(np.asarray(f))
+
+
+class TestCountExtrema:
+    """_count_extrema's paths: projected at the attained rank, or counted in
+    full coordinates when the rank is below 2 or one row is left."""
+
+    @pytest.mark.parametrize(
+        "f, expected, warning",
+        [
+            (np.full((3, 3), 1 / 6) + np.eye(3) / 2, (3, 2, [0.5, 0.5]), "pca dimension reduced from 5 to attainable rank 2"),
+            (np.array([[0.2, 0.8, 0.0], [0.5, 0.5, 0.0], [0.9, 0.1, 0.0]]), (2, 0, []), "pca dimension reduced from 5 to attainable rank 1"),
+            (np.array([[0.3, 0.7, 0.0], [0.3, 0.7, 0.0]]), (1, 0, []), None),
+            (np.eye(6), (6, 5, [0.2] * 5), None),
+        ],
+        ids=["rank-2", "collinear", "one-distinct-row", "full-rank"],
+    )
+    def test_paths(self, f, expected, warning):
+        warnings = []
+        count, attained, evr = admixture._count_extrema(f, 5, warnings)
+        assert (count, attained) == expected[:2]
+        np.testing.assert_allclose(evr, expected[2], rtol=0, atol=1e-12)
+        assert warnings == ([warning] if warning else [])
 
 
 class TestTwoStage:

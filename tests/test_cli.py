@@ -394,6 +394,26 @@ class TestFitAdmixtureCommand:
             outs[tag] = (read(d / "report.json"), read(d / "phi.csv"), read(d / "f.csv"))
         assert outs["a"] == outs["b"] == outs["c"]
 
+    def test_line_order_changes_no_output(self, tmp_path):
+        # a docword file with its body lines shuffled fits to the same bytes
+        x, _, _ = synthetic_corpus(3, 9, 120, 40, 0.9, seed=26)
+        doc = tmp_path / "docword.txt"
+        write_docword(x, doc)
+        lines = read(doc).splitlines()
+        body = lines[3:]
+        np.random.default_rng(26).shuffle(body)
+        (tmp_path / "shuffled.txt").write_text("\n".join(lines[:3] + body) + "\n")
+        digests = []
+        for name in ("docword.txt", "shuffled.txt"):
+            d = tmp_path / name.split(".")[0]
+            d.mkdir()
+            run(["fit-admixture", "--input", str(tmp_path / name), "--L0", "4", "--pca-dim", "2",
+                 "--restarts", "2", "--seed", "26", "--json-out", str(d / "report.json"), "--csv-dir", str(d),
+                 "--manifest", str(d / "m.json")])
+            digests.append(json.loads(read(d / "m.json"))["outputs"])
+        assert set(digests[0]) == {"report.json", "phi.csv", "f.csv"}
+        assert digests[0] == digests[1]
+
     def test_zero_restarts_exits_2(self, tmp_path, capsys):
         x, _, _ = synthetic_corpus(2, 5, 30, 20, 0.9, seed=25)
         doc = tmp_path / "docword.txt"

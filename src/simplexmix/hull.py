@@ -262,8 +262,8 @@ def is_extreme(i: int, ps) -> bool:
     n = pts.shape[0]
     if not 0 <= i < n:
         raise IndexError(f"point index {i} out of range for {n} points")
-    if n < 2:
-        raise ValueError("need at least 2 distinct points")
+    if n == 1:
+        return True  # no other point can be within EXTREME_TOL of it
     return _perpoint_keep(_affine_coordinates(pts)[0], [i]).size == 1
 
 
@@ -421,7 +421,10 @@ def extremal_set(ps, method: str = "auto") -> ExtremalSet:
     dimension, slower); "auto" also takes that route for affinely
     independent points, above rank 8, and when qhull fails on coordinates of
     full rank, the chart's included.  On collinear points the two ends are
-    extreme: ``PointSet`` keeps no two points within the tolerance.  qhull
+    extreme: ``PointSet`` keeps no two points within the tolerance, and a
+    lone point is extreme, as no other point is within it.  Points that
+    ``PointSet`` keeps apart but whose spread is below the rank's rounding
+    (``_centered_svd``: ~4e-6 at coordinates near 1e10) raise.  qhull
     rejects or fails on coordinates when both its run without pre-merging
     and its merged retry raise (``_shortlist``).
     """
@@ -431,8 +434,8 @@ def extremal_set(ps, method: str = "auto") -> ExtremalSet:
         ps = PointSet(ps)
     pts = ps.points
     n, d = pts.shape
-    if n < 2:
-        raise ValueError("degenerate input: fewer than 2 distinct points")
+    if n == 1:
+        return ExtremalSet(np.zeros(1, dtype=np.int64))
     failed = 0  # the rank at which qhull already failed, if any
     chart = _chart(pts) if method == "auto" and n > d else None
     if chart is not None:
@@ -442,7 +445,7 @@ def extremal_set(ps, method: str = "auto") -> ExtremalSet:
         failed = d - 1
     z, r = _affine_coordinates(pts)
     if r == 0:
-        raise ValueError("degenerate input: all points identical")
+        raise ValueError("degenerate input: all points identical up to rounding")
     if r == 1:
         coord = z[:, 0]
         return ExtremalSet(np.unique([int(np.argmin(coord)), int(np.argmax(coord))]))

@@ -120,9 +120,7 @@ def posterior_update(post: PolyaTreePosterior, atoms) -> PolyaTreePosterior:
     depth = emb.depth
     new_counts = []
     for l in range(depth):
-        node = cells >> (depth - l)
-        bit = (cells >> (depth - l - 1)) & 1
-        flat = np.bincount(node * 2 + bit, minlength=2 ** (l + 1)).reshape(-1, 2)
+        flat = np.bincount(cells >> (depth - l - 1), minlength=2 ** (l + 1)).reshape(-1, 2)
         new_counts.append(post.counts[l] + flat)
     return PolyaTreePosterior(
         params=post.params,

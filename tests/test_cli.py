@@ -51,6 +51,15 @@ class TestGrowthCommand:
             _, mean, var, _, _ = row.split(",")
             assert float(mean) == 2.0 and float(var) == 0.0
 
+    def test_coincident_cloud_counts_one(self, tmp_path):
+        # at alpha 0.001 some clouds of 4 draw every point at one vertex: a
+        # lone distinct point, extreme by itself
+        out = tmp_path / "g"
+        run(["growth", "--J", "2", "--n-grid", "4,10", "--reps", "20",
+             "--sampler", "dirichlet:0.001,0.001", "--out", str(out), "--manifest", str(tmp_path / "m.json")])
+        for row in read(f"{out}.csv").strip().splitlines()[1:]:
+            assert 1.0 <= float(row.split(",")[1]) <= 2.0
+
     def test_deterministic_reruns(self, tmp_path):
         argv = ["growth", "--J", "3", "--n-grid", "10,100,1000", "--reps", "20",
                 "--seed", "5", "--out", str(tmp_path / "g"), "--manifest", str(tmp_path / "m.json")]

@@ -443,8 +443,15 @@ class TestExtremalSet:
         assert extremal_set(ps).f0 >= min(rank + 1, ps.n)
 
     def test_degenerate_inputs_rejected(self):
+        # a lone point is extreme: no other point is within the tolerance
+        np.testing.assert_array_equal(extremal_set(PointSet(np.zeros((3, 2)))).indices, [0])
+        assert is_extreme(0, np.zeros((1, 2)))
+        # two points PointSet keeps apart, but closer than the rank's rounding
+        # at their scale: rejected, not counted as none or one
+        far = PointSet(np.array([[1e10, 1e10], [1e10 + 4e-6, 1e10]]))
+        assert far.n == 2
         with pytest.raises(ValueError, match="degenerate"):
-            extremal_set(PointSet(np.zeros((3, 2))))
+            extremal_set(far)
 
     def test_lattice_cloud_corners_only(self):
         # many exactly-collinear boundary points; only the 4 corners are extreme

@@ -3,9 +3,11 @@
 RUNS maps a name to (argv, digest group).  Each runs as ``python -W error -m simplexmix <argv>`` in
 <variant>/<name>/ of a temporary directory (inputs two levels up) at OPENBLAS_NUM_THREADS 1 and 2, and
 those in ONE_THREAD once more at --threads 1.  Fails, naming the run or file, unless the manifests' output
-digests agree within each group and every CSV written holds CPython's '%.17g' of its values.
+digests agree within each group and every CSV written holds CPython's '%.17g' of its values.  Prints a
+digest of each group's outputs, so that two commits' runs can be compared line by line.
 """
 
+import hashlib
 import json
 import os
 import random
@@ -87,7 +89,8 @@ def main() -> None:
         for group, by_run in groups.items():
             first = next(iter(by_run.values()))
             if all(outputs == first for outputs in by_run.values()):
-                print(group, "identical over", ", ".join(by_run))
+                digest = hashlib.sha256(json.dumps(first, sort_keys=True).encode()).hexdigest()[:16]
+                print(group, digest, "identical over", ", ".join(by_run))
             else:
                 failures.append(f"{group} differ: {by_run}")
         csvs = sorted(d.glob("*/*/*.csv"))

@@ -21,7 +21,7 @@ import numpy as np
 from .choquet import make_frame
 from .hull import PointSet, _centered_svd, _perpoint_keep, extremal_set, pca_project
 from .hull import point_to_hull_distance  # noqa: F401  (a call site that perfbench/tracing.py wraps)
-from .simplex import _integer, _map_indexed, child_seed
+from .simplex import _integer, _map_indexed, _row_sums, child_seed
 
 __all__ = [
     "DocTermMatrix",
@@ -248,23 +248,6 @@ class AdmixtureModel:
     @property
     def n_components(self) -> int:
         return self.f.shape[0]
-
-
-def _row_sums(a: np.ndarray) -> np.ndarray:
-    """Row sums of a tall, narrow array, adding its columns left to right.
-
-    One vector add per column, where ``a.sum(axis=1)`` runs a short inner
-    loop per row; the order ((a0 + a1) + a2) + ... is fixed for every L.
-    ``em_fit`` passes the transposes of its (L, docs) Phi and of its (L, nnz)
-    starting responsibilities, whose columns are contiguous rows.
-    ``sum(axis=0)`` on those (L, N) arrays is not a drop-in: at N = 1 (one
-    document) numpy sums the contiguous L values pairwise, and in 1512 random
-    arrays with L = 1..24 the bits differed in 62, all at N = 1 with L >= 8.
-    """
-    total = a[:, 0].copy()
-    for l in range(1, a.shape[1]):
-        total += a[:, l]
-    return total
 
 
 def _pi(phi_t: np.ndarray, f: np.ndarray, doc: np.ndarray, term: np.ndarray) -> np.ndarray:

@@ -39,6 +39,7 @@ loaded at that function's first call; importing this module loads numpy only.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -61,6 +62,8 @@ __all__ = [
 # hull of all other points exceeds it.  PointSet merges points this close, so
 # near-duplicates of a vertex count once instead of ruling each other out.
 EXTREME_TOL = 1e-7
+
+_EPS = float(np.finfo(np.float64).eps)
 
 # extremal_set falls back to per-point distance tests above this rank.
 _QHULL_MAX_DIM = 8
@@ -85,9 +88,10 @@ class PointSet:
         pts = np.asarray(self.points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
             raise ValueError(f"points must be a nonempty (n, d) array, got shape {pts.shape}")
-        if not np.all(np.isfinite(pts)):
+        scale = float(np.abs(pts).max())
+        if not math.isfinite(scale):
             raise ValueError("points contain non-finite values")
-        pts = _dedup(pts, EXTREME_TOL)
+        pts = _dedup(pts, EXTREME_TOL, scale)
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -100,20 +104,33 @@ class PointSet:
         return self.points.shape[1]
 
 
-def _dedup(pts: np.ndarray, tol: float) -> np.ndarray:
+@functools.cache
+def _direction(d: int) -> np.ndarray:
+    """The fixed unit direction ``_dedup`` projects rows of width ``d`` on,
+    built once per width and read-only."""
+    w = np.cos(np.arange(1.0, d + 1.0))
+    w /= np.linalg.norm(w)
+    w.setflags(write=False)
+    return w
+
+
+def _dedup(pts: np.ndarray, tol: float, scale: float) -> np.ndarray:
     """Drop near-duplicate rows, keeping the first occurrence, order preserved.
+    ``scale`` is max|x| over the rows, which sets the window's rounding term.
 
     Kept-row rule: a row is dropped exactly when an earlier kept row lies
     within ``tol`` of it (an exact copy of a kept row is one such row).  Rows
-    are sorted by their projection onto a fixed unit direction (not parallel
-    to all-ones, on which simplex clouds are flat); a pair within ``tol``
-    projects within the window ``width``.  In sorted order a pair's projected
-    difference is at least each adjacent gap between them, so every one of
-    those gaps is a near gap (within the window).  There are three exits:
+    are sorted by their projection onto a fixed unit direction
+    (``_direction``, not parallel to all-ones, on which simplex clouds are
+    flat); a pair within ``tol`` projects within the window ``width``.  In
+    sorted order a pair's projected difference is at least each adjacent gap
+    between them, so every one of those gaps is a near gap (within the
+    window).  There are three exits:
 
     - gap screen: no near gap, so no pair is within ``tol`` and there is no
       exact copy.  The rows come back unchanged, as a C-ordered copy, after
-      one sort and one gap scan.
+      one sort of the projected values and one gap scan; only past the
+      screen does an argsort find which rows sit at the near gaps.
     - isolated pairs: no two near gaps are adjacent.  A pair at sorted
       positions a < b makes gaps a, ..., b - 1 all near; if b > a + 1, gaps
       a and a + 1 are near and adjacent.  So b = a + 1, and only the two
@@ -141,19 +158,17 @@ def _dedup(pts: np.ndarray, tol: float) -> np.ndarray:
     such a chain.
     """
     n, d = pts.shape
-    w = np.cos(np.arange(1.0, d + 1.0))
-    w /= np.linalg.norm(w)
-    s = pts @ w
-    order = np.argsort(s)
-    s = s[order]
-    # |w.(x - y)| <= |x - y|, so a pair within tol projects within tol plus
-    # the projections' rounding, at most 2 * d**1.5 * eps * max|x|: the
-    # window's second tol covers it on unit-scale clouds, the last term on
-    # larger ones.
-    width = 2.0 * tol + 4.0 * d * d * np.finfo(np.float64).eps * float(np.abs(pts).max())
+    proj = pts @ _direction(d)
+    s = np.sort(proj)
+    # For the unit direction w, |w.(x - y)| <= |x - y|, so a pair within tol
+    # projects within tol plus the projections' rounding, at most
+    # 2 * d**1.5 * eps * max|x|: the window's second tol covers it on
+    # unit-scale clouds, the last term on larger ones.
+    width = 2.0 * tol + 4.0 * d * d * _EPS * scale
     near = np.flatnonzero(np.diff(s) <= width)
     if not near.size:
         return pts.copy()
+    order = np.argsort(proj)
     if not (np.diff(near) == 1).any():
         i, j = order[near], order[near + 1]
         if not (((pts[i] - pts[j]) ** 2).sum(axis=1) <= tol * tol).any():
@@ -254,6 +269,12 @@ def is_extreme(i: int, ps) -> bool:
     """True iff point ``i`` is farther than ``EXTREME_TOL`` from the hull of
     the rest.
 
+    The rule applies to the rows as given: a raw array is not merged, so a
+    row with a copy elsewhere is not extreme (``is_extreme(0, np.zeros((2,
+    2)))`` is False).  ``extremal_set`` applies it to the merged
+    ``PointSet``, which keeps one of the copies (there, ``[0]``); pass a
+    ``PointSet`` to get the same answer here.
+
     The test runs in affine coordinates, as ``method="perpoint"`` does: raw
     rows on a flat (the simplex hyperplane) make the NNLS matrix
     rank-deficient and the solve several times slower.
@@ -278,7 +299,7 @@ def _centered_svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, in
     y = x - x.mean(axis=0)
     _, s, vt = np.linalg.svd(y, full_matrices=False)
     scale = max(float(s[0]), float(np.abs(x).max()))
-    rank = int(np.sum(s > max(x.shape) * np.finfo(np.float64).eps * scale))
+    rank = int(np.sum(s > max(x.shape) * _EPS * scale))
     return y, s, vt, rank
 
 
@@ -313,7 +334,7 @@ def _chart(pts: np.ndarray) -> tuple[np.ndarray, float] | None:
     if not 3 <= d <= _QHULL_MAX_DIM + 1:
         return None
     off = float(np.abs(pts @ np.ones(d) - 1.0).max())
-    if off > 4 * d * np.finfo(np.float64).eps:
+    if off > 4 * d * _EPS:
         return None
     return pts[:, :-1] @ _CHART[: d - 1, : d - 1], 2.0 * off
 
@@ -373,7 +394,7 @@ def _certified(z: np.ndarray, hull, cand: np.ndarray, err: float = 0.0) -> np.nd
     # 1e-7, and the NNLS distance's returned norm by about as much.  The
     # slack covers both, so a certified candidate is one the distance test
     # would also keep; ``err`` adds the coordinates' own distance error.
-    slack = 8 * (r + 1) * np.finfo(np.float64).eps * float(np.abs(z).max()) + err
+    slack = 8 * (r + 1) * _EPS * float(np.abs(z).max()) + err
     return margin > EXTREME_TOL + slack
 
 
@@ -405,7 +426,10 @@ def _shortlist(z: np.ndarray, err: float) -> ExtremalSet | None:
 
 def extremal_set(ps, method: str = "auto") -> ExtremalSet:
     """Indices of the points of ``ps`` farther than ``EXTREME_TOL`` from the
-    hull of all its other points (``is_extreme`` on every point).
+    hull of all its other points: ``is_extreme`` on every point of the
+    merged ``PointSet``.  A raw array is merged first, so its copies of a
+    row count once, where ``is_extreme`` on the raw rows finds none of them
+    extreme; the indices are those of the merged points.
 
     method="auto" shortlists hull vertices with qhull on isometric
     coordinates; the other points lie inside the hull up to qhull's rounding.

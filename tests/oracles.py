@@ -157,6 +157,13 @@ def dense_log_likelihood(dense_counts: np.ndarray, phi: np.ndarray, f: np.ndarra
     return float(np.sum(dense_counts[mask] * np.log(pi[mask])))
 
 
+def sample_uniform_by_sum(spec, n: int) -> np.ndarray:
+    """``n`` uniform draws of ``spec`` from the same standard exponentials as
+    ``sample``, normalized by numpy's row sum ``g.sum(axis=1, keepdims=True)``."""
+    g = np.random.default_rng(spec.seed).standard_exponential(size=(n, spec.J))
+    return g / g.sum(axis=1, keepdims=True)
+
+
 def dedup_by_pairs(points: np.ndarray, tol: float) -> np.ndarray:
     """Rows kept by the pair-greedy near-duplicate rule, without any screen.
 

@@ -327,6 +327,14 @@ class TestIsExtreme:
         with pytest.raises(IndexError):
             is_extreme(5, np.eye(3))
 
+    def test_raw_rows_against_merged_point_set(self):
+        # is_extreme takes the raw rows, where a copy of row 0 lies within
+        # the tolerance of it; extremal_set merges the copies first
+        for raw, merged in ((np.zeros((2, 2)), [0]), (np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]]), [0, 1])):
+            assert not is_extreme(0, raw)
+            assert extremal_set(raw).indices.tolist() == merged
+            assert is_extreme(0, PointSet(raw))
+
 
 class TestExtremalSet:
     def test_triangle_plus_barycenter(self):

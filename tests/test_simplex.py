@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from oracles import sample_uniform_by_sum
 from simplexmix.asymptotics import ks_distance
 from simplexmix.simplex import SamplerSpec, child_seed, sample, validate
 
@@ -162,6 +163,31 @@ class TestSample:
         pts = sample(SamplerSpec("uniform", 2, 99), 100_000)
         ks = ks_distance(pts[:, 0], cdf=lambda x: np.clip(x, 0.0, 1.0))
         assert ks <= 0.01
+
+
+class TestUniformRowSums:
+    """``sample`` normalizes uniform draws by column-add row sums; the oracle
+    divides by numpy's ``sum(axis=1)``, which adds up to 7 values left to
+    right and sums 8 or more pairwise."""
+
+    @pytest.mark.parametrize("J", range(2, 8))
+    def test_bit_identical_up_to_J_7(self, J):
+        for seed in range(20):
+            for n in (1, 7, 1000):
+                spec = SamplerSpec("uniform", J, seed)
+                assert sample(spec, n).tobytes() == sample_uniform_by_sum(spec, n).tobytes()
+
+    @pytest.mark.parametrize("J", range(8, 13))
+    def test_pairwise_sum_moves_last_bits_from_J_8(self, J):
+        # Up to 4 ulps on these draws; over 200 seeds of 1000 rows, 3 reached 5 ulps.
+        moved = 0
+        for seed in range(20):
+            for n in (1, 7, 1000):
+                spec = SamplerSpec("uniform", J, seed)
+                got, ref = sample(spec, n), sample_uniform_by_sum(spec, n)
+                assert (np.abs(got - ref) <= 4 * np.spacing(ref)).all()
+                moved += int((got != ref).sum())
+        assert moved > 0
 
 
 class TestSeedTree:

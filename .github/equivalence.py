@@ -101,15 +101,23 @@ def routes(hull, cloud: np.ndarray) -> tuple[str, str]:
     }
     spies = {name: spy(name, event) for name, event in spies.items() if hasattr(hull, name)}
 
-    def convex_hull(z, qhull_options=None, _fn=scipy.spatial.ConvexHull):
-        events.append("Q0" if qhull_options == "Q0" else "merged")
-        try:
-            return _fn(z, qhull_options=qhull_options)
-        except scipy.spatial.QhullError:
-            events[-1] += "!"
-            raise
+    def qhull_run(fn):
+        def wrapper(z, *args, **kwargs):  # _qhull(z, options) or ConvexHull(z, qhull_options=options)
+            events.append("Q0" if [*args, *kwargs.values()] == ["Q0"] else "merged")
+            try:
+                return fn(z, *args, **kwargs)
+            except scipy.spatial.QhullError:
+                events[-1] += "!"
+                raise
 
-    with patched(hull, **spies), patched(scipy.spatial, ConvexHull=convex_hull):
+        return wrapper
+
+    # a base older than hull._qhull runs qhull through scipy.spatial.ConvexHull
+    if hasattr(hull, "_qhull"):
+        spies["_qhull"], convex_hull = qhull_run(hull._qhull), {}
+    else:
+        convex_hull = {"ConvexHull": qhull_run(scipy.spatial.ConvexHull)}
+    with patched(hull, **spies), patched(scipy.spatial, **convex_hull):
         try:
             hull.extremal_set(ps)
         except ValueError:

@@ -42,6 +42,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -349,7 +350,9 @@ def _perpoint_keep(z: np.ndarray, rows=None) -> np.ndarray:
 
 def _normal_sums(hull, rows: np.ndarray) -> np.ndarray:
     """(len(rows), r) sums of the unit outward normals of the facets at each
-    vertex listed in ``rows`` of ``hull``, a ``scipy.spatial.ConvexHull``.
+    vertex listed in ``rows`` of ``hull``, whose ``simplices`` and
+    ``equations`` are qhull's triangulated facets (``_qhull``, or a
+    ``scipy.spatial.ConvexHull``).
 
     One ``np.bincount`` per coordinate over the facets' vertex lists.  It adds
     each facet's normal in facet order from 0.0, as an unbuffered
@@ -364,8 +367,9 @@ def _normal_sums(hull, rows: np.ndarray) -> np.ndarray:
 def _certified(z: np.ndarray, hull, cand: np.ndarray, err: float = 0.0) -> np.ndarray:
     """Mask over ``cand``: True where a separating direction proves the
     candidate farther than ``EXTREME_TOL`` from the hull of all other rows of
-    ``z``, whose ``scipy.spatial.ConvexHull`` is ``hull``, and from the hull
-    of the rows ``z`` stands for when its distances are off by up to ``err``.
+    ``z``, whose triangulated facets ``hull`` holds (``_normal_sums``), and
+    from the hull of the rows ``z`` stands for when its distances are off by
+    up to ``err``.
 
     Candidate a gets u_a, the normalized sum of the unit normals of its
     incident facets.  Every y in the hull of the other rows has u_a.y <=
@@ -398,6 +402,39 @@ def _certified(z: np.ndarray, hull, cand: np.ndarray, err: float = 0.0) -> np.nd
     return margin > EXTREME_TOL + slack
 
 
+class _Hull(NamedTuple):
+    """qhull's triangulated hull: its vertices, sorted, and its facets'
+    vertex lists and normalized outward equations."""
+
+    vertices: np.ndarray
+    simplices: np.ndarray
+    equations: np.ndarray
+
+
+def _qhull(z: np.ndarray, options: str | None) -> _Hull:
+    """The hull of the rows of ``z`` as ``scipy.spatial.ConvexHull(z,
+    qhull_options=options)`` builds it, with the same ``simplices`` and
+    ``equations``, and ``vertices`` sorted; raises ``QhullError`` where it
+    does.  ``None`` means scipy's default options, ``Qx`` at d >= 5.
+
+    It runs scipy's private ``_Qhull`` directly because ``ConvexHull`` also
+    computes what no caller reads: the bounding box (two numpy reductions
+    over the points), the volume and area, and the 2-D vertex walk.
+    ``tests/test_hull.py`` pins this call against ``ConvexHull``.
+    """
+    from scipy.spatial._qhull import _Qhull
+
+    if options is None:
+        options = "Qx" if z.shape[1] >= 5 else ""
+    qhull = _Qhull(b"i", z, options.encode("latin1"), required_options=b"Qt")
+    try:
+        qhull.triangulate()
+        simplices, _, equations, _, _ = qhull.get_simplex_facet_array()
+    finally:
+        qhull.close()
+    return _Hull(np.unique(simplices).astype(np.int64), simplices, equations)
+
+
 def _shortlist(z: np.ndarray, err: float) -> ExtremalSet | None:
     """qhull's vertices of ``z``, certified or confirmed by the distance
     test, or None when qhull fails.  ``err`` bounds how far the distances in
@@ -409,17 +446,17 @@ def _shortlist(z: np.ndarray, err: float) -> ExtremalSet | None:
     ones among them; it then runs once more with its default merging, and
     "qhull fails" means that both runs raised.
     """
-    from scipy.spatial import ConvexHull, QhullError
+    from scipy.spatial import QhullError
 
     for options in ("Q0", None):
         try:
-            hull = ConvexHull(z, qhull_options=options)
+            hull = _qhull(z, options)
             break
         except QhullError:
             pass
     else:
         return None
-    cand = np.sort(hull.vertices.astype(np.int64))
+    cand = hull.vertices
     ok = _certified(z, hull, cand, err)
     return ExtremalSet(np.concatenate([cand[ok], _perpoint_keep(z, cand[~ok])]))
 

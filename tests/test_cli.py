@@ -666,7 +666,7 @@ class TestScipyImportDeferred:
     # At seed 0 no cloud of the growth and clt runs leaves a candidate
     # unsettled, so neither needs an NNLS solve (growth seed 22 on the same
     # grid does, and would load scipy.optimize).  growth --threads 2 makes
-    # the process's first ConvexHull call from two pool threads at once.
+    # the process's first qhull run from two pool threads at once.
     SCRIPT = """
 import sys
 import simplexmix, simplexmix.cli

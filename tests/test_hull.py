@@ -388,12 +388,12 @@ class TestExtremalSet:
         # rank-reduced coordinates have the chart's rank, so no third call
         calls = []
 
-        def failing(z, *args, qhull_options=None, **kwargs):
-            calls.append((z.shape, qhull_options))
+        def failing(z, options):
+            calls.append((z.shape, options))
             raise scipy.spatial.QhullError("forced failure")
 
         ps = PointSet(sample(SamplerSpec("uniform", 3, 41), 60))
-        monkeypatch.setattr(scipy.spatial, "ConvexHull", failing)
+        monkeypatch.setattr(hull, "_qhull", failing)
         es = extremal_set(ps)
         assert calls == [((ps.n, 2), "Q0"), ((ps.n, 2), None)]
         np.testing.assert_array_equal(es.indices, extremal_set(ps, method="perpoint").indices)
@@ -489,6 +489,48 @@ class TestExtremalSet:
         ps = PointSet(np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-9]]))
         np.testing.assert_array_equal(extremal_set(ps).indices, [0, 1])
         assert not is_extreme(2, ps)
+
+
+class TestQhull:
+    """``_qhull`` calls scipy's private ``_Qhull``; if a scipy release renames
+    it or changes ``ConvexHull``'s defaults, these tests fail first."""
+
+    @staticmethod
+    def clouds(d):
+        """A cube cloud with its centroid, which is no vertex, and the chart of
+        a skewed Dirichlet cloud, on which ``Q0`` and the default options
+        give different hulls from d = 3 and ``Q0`` raises from d = 5."""
+        rng = np.random.default_rng(d)
+        z = rng.random((5 * d + 20, d))
+        yield np.vstack([z, z.mean(axis=0)])
+        yield rng.dirichlet([0.05] + [1.0] * d, 5 * d + 20)[:, :d]
+
+    @pytest.mark.parametrize("options", ["Q0", None])
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_matches_convex_hull(self, d, options):
+        for z in self.clouds(d):
+            try:
+                theirs = ConvexHull(z, qhull_options=options)
+            except scipy.spatial.QhullError:
+                with pytest.raises(scipy.spatial.QhullError):
+                    hull._qhull(z, options)
+                continue
+            ours = hull._qhull(z, options)
+            for name in ("simplices", "equations"):
+                a, b = getattr(ours, name), getattr(theirs, name)
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert ours.vertices.dtype == np.int64
+            np.testing.assert_array_equal(ours.vertices, np.sort(theirs.vertices))
+
+    @pytest.mark.parametrize("options", ["Q0", None])
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_flat_cloud_raises(self, d, options):
+        z = np.random.default_rng(d).random((50, d))
+        z[:, -1] = 0.5
+        with pytest.raises(scipy.spatial.QhullError):
+            ConvexHull(z, qhull_options=options)
+        with pytest.raises(scipy.spatial.QhullError):
+            hull._qhull(z, options)
 
 
 class TestCertificate:
@@ -587,17 +629,17 @@ class TestSimplexChart:
 
     @staticmethod
     def spy_qhull(monkeypatch):
-        """The inputs and ``qhull_options`` of every ConvexHull call, and
+        """The inputs and options of every qhull run (``hull._qhull``), and
         whether qhull took them."""
-        calls, convex_hull = [], scipy.spatial.ConvexHull
+        calls, qhull = [], hull._qhull
 
-        def spy(z, *args, qhull_options=None, **kwargs):
-            calls.append([z.copy(), qhull_options, False])
-            hull = convex_hull(z, *args, qhull_options=qhull_options, **kwargs)
+        def spy(z, options):
+            calls.append([z.copy(), options, False])
+            out = qhull(z, options)
             calls[-1][2] = True
-            return hull
+            return out
 
-        monkeypatch.setattr(scipy.spatial, "ConvexHull", spy)
+        monkeypatch.setattr(hull, "_qhull", spy)
         return calls
 
     def test_distances_match_raw_rows(self):

@@ -46,6 +46,8 @@ RUNS = {
                      --sampler '{"kind":"dirichlet","J":4,"seed":0,"alpha":[0.5,1,2,3]}'""", "sampler-json"),
     # skewed clouds: qhull without pre-merging raises a precision error, and the merged retry gives the shortlist
     "skewed": ("growth --J 5 --n-grid 300,3000 --reps 5 --sampler dirichlet:0.05,1,1,1,1", "skewed"),
+    # the default --k-grid, and weights the command normalizes before the trace and the manifest
+    "polya": ("polya --true-weights 5,3,2 --seed 4", "polya"),
 }
 # one after another, the largest-first cloud schedule and threaded restarts must leave the outputs as they were
 ONE_THREAD = ("growth", "fit-admixture", "gamma")

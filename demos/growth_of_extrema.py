@@ -7,7 +7,6 @@ has exactly two vertices.
 """
 
 from simplexmix import (
-    ExperimentConfig,
     SamplerSpec,
     c_constant,
     fit_growth,
@@ -15,13 +14,13 @@ from simplexmix import (
 )
 
 # J=2: every cloud on the segment has exactly two extreme points.
-cfg2 = ExperimentConfig(n_grid=(10, 100, 1000), reps=50, sampler=SamplerSpec("uniform", 2, 0))
-curve2 = growth_experiment(cfg2)
+curve2 = growth_experiment(n_grid=(10, 100, 1000), reps=50, sampler=SamplerSpec("uniform", 2, 0))
 print("J=2 mean extrema (always 2):", curve2.mean_f0, "variance:", curve2.var_f0)
 
 # J=3: counts grow; the interesting question is the exponent.
-cfg3 = ExperimentConfig(n_grid=(100, 316, 1000, 3162, 10000), reps=200, sampler=SamplerSpec("uniform", 3, 42))
-curve3 = growth_experiment(cfg3, threads=2)
+curve3 = growth_experiment(
+    n_grid=(100, 316, 1000, 3162, 10000), reps=200, sampler=SamplerSpec("uniform", 3, 42), threads=2
+)
 
 print("\n  n      mean F0   stderr")
 for n, m, s in zip(curve3.n, curve3.mean_f0, curve3.stderr):

@@ -20,11 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hull import PointSet, extremal_set, point_to_hull_distance
-from .simplex import SamplerSpec, _map_indexed, child_seed, sample
+from .simplex import SamplerSpec, _integer, _map_indexed, child_seed, sample
 
 __all__ = [
     "DEFAULT_N_GRID",
-    "ExperimentConfig",
     "GrowthCurve",
     "GrowthFit",
     "CLTReport",
@@ -42,31 +41,6 @@ __all__ = [
 
 # Log-spaced so the log(log n) regressor has spread.
 DEFAULT_N_GRID = (100, 316, 1000, 3162, 10000)
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Grid of sample sizes, replicate count and sampler.
-
-    The sampler's J is the simplex dimension and its seed the root of the
-    seed tree.
-    """
-
-    n_grid: tuple[int, ...]
-    reps: int
-    sampler: SamplerSpec
-
-    def __post_init__(self):
-        grid = tuple(int(n) for n in self.n_grid)
-        if len(grid) < 1:
-            raise ValueError("n_grid must be nonempty")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError(f"n_grid must be strictly increasing, got {grid}")
-        if grid[0] < self.sampler.J + 1:
-            raise ValueError(f"min(n_grid) must be >= J+1 = {self.sampler.J + 1}, got {grid[0]}")
-        if self.reps < 1:
-            raise ValueError(f"reps must be >= 1, got {self.reps}")
-        object.__setattr__(self, "n_grid", grid)
 
 
 @dataclass(frozen=True)
@@ -149,23 +123,39 @@ def _f0_counts(spec: SamplerSpec, clouds, threads: int) -> np.ndarray:
     return counts
 
 
-def growth_experiment(cfg: ExperimentConfig, threads: int = 1) -> GrowthCurve:
-    """Estimate mean and variance of the hull extrema count over cfg.n_grid.
+def _n_grid(n_grid, low: int, low_text: str) -> tuple[int, ...]:
+    """``n_grid`` as a tuple of ints: nonempty, strictly increasing, every
+    entry an integer (an integral float or numpy int) of at least ``low``,
+    which the error names as ``low_text``."""
+    grid = tuple(_integer(n, low, math.inf, f"n_grid entries must be integers >= {low_text}, got {n!r}") for n in n_grid)
+    if not grid:
+        raise ValueError("n_grid must be nonempty")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"n_grid must be strictly increasing, got {grid}")
+    return grid
 
-    Cloud (g, r), grid index g and replicate r, draws at
-    ``child_seed(cfg.sampler.seed, g, r)``, so the output is identical for
-    any thread count.
+
+def growth_experiment(n_grid, reps: int, sampler: SamplerSpec, threads: int = 1) -> GrowthCurve:
+    """Estimate mean and variance of the hull extrema count at each n of n_grid.
+
+    n_grid is nonempty and strictly increasing, each n an integer of at least
+    J+1 for the sampler's J; reps >= 1 clouds are drawn per n.  Cloud (g, r),
+    grid index g and replicate r, draws at ``child_seed(sampler.seed, g, r)``,
+    so the output is identical for any thread count.
     """
-    clouds = [(n, (g, r)) for g, n in enumerate(cfg.n_grid) for r in range(cfg.reps)]
-    f0 = _f0_counts(cfg.sampler, clouds, threads).reshape(len(cfg.n_grid), cfg.reps)
+    grid = _n_grid(n_grid, sampler.J + 1, f"J+1 = {sampler.J + 1}")
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
+    clouds = [(n, (g, r)) for g, n in enumerate(grid) for r in range(reps)]
+    f0 = _f0_counts(sampler, clouds, threads).reshape(len(grid), reps)
     mean = f0.mean(axis=1)
-    var = f0.var(axis=1, ddof=1) if cfg.reps > 1 else np.zeros(len(cfg.n_grid))
+    var = f0.var(axis=1, ddof=1) if reps > 1 else np.zeros(len(grid))
     return GrowthCurve(
-        n=np.asarray(cfg.n_grid, dtype=np.int64),
+        n=np.asarray(grid, dtype=np.int64),
         mean_f0=mean,
         var_f0=var,
-        stderr=np.sqrt(var / cfg.reps),
-        reps=cfg.reps,
+        stderr=np.sqrt(var / reps),
+        reps=reps,
     )
 
 
@@ -259,10 +249,7 @@ def gamma_experiment(n_grid, reps: int, sampler_g: SamplerSpec, threads: int = 1
     """
     seed = sampler_g.seed
     m_curve, t_curve = (
-        growth_experiment(
-            ExperimentConfig(tuple(n_grid), reps, dataclasses.replace(spec, seed=child_seed(seed, arm))),
-            threads=threads,
-        )
+        growth_experiment(n_grid, reps, dataclasses.replace(spec, seed=child_seed(seed, arm)), threads=threads)
         for arm, spec in enumerate((SamplerSpec("uniform", sampler_g.J, seed), sampler_g))
     )
     gamma = t_curve.mean_f0 / m_curve.mean_f0
@@ -286,13 +273,10 @@ def hull_limit_experiment(J: int, n_grid, seed: int) -> list[tuple[int, float]]:
     One stream of max(n_grid) uniform points; each grid n takes the prefix,
     so the hulls are nested and the distances non-increasing.  The distance
     to the simplex is attained at a simplex vertex, so only J distance
-    evaluations are needed per grid point.
+    evaluations are needed per grid point.  n_grid is nonempty and strictly
+    increasing, each n a positive integer.
     """
-    grid = [int(n) for n in n_grid]
-    if not grid:
-        raise ValueError("n_grid must be nonempty")
-    if any(b <= a for a, b in zip(grid, grid[1:])) or grid[0] < 1:
-        raise ValueError(f"n_grid must be strictly increasing and positive, got {grid}")
+    grid = _n_grid(n_grid, 1, "1")
     cloud = sample(SamplerSpec("uniform", J, seed), grid[-1])
     eye = np.eye(J)
     out = []

@@ -32,7 +32,6 @@ from . import __version__
 from .admixture import load_docword, two_stage
 from .asymptotics import (
     DEFAULT_N_GRID,
-    ExperimentConfig,
     clt_experiment,
     definetti_bound,
     fit_growth,
@@ -290,11 +289,9 @@ def _write_optional_json(out: str | None, obj) -> list[str]:
 
 
 def _cmd_growth(args) -> list[str]:
-    grid = _parse_grid(args.n_grid)
     sampler = _parse_sampler(args.sampler, args.J, args.seed)
-    cfg = ExperimentConfig(n_grid=grid, reps=args.reps, sampler=sampler)
-    curve = growth_experiment(cfg, threads=args.threads)
-    args.n_grid, args.sampler = list(grid), json.loads(sampler.to_json())
+    curve = growth_experiment(args.n_grid, args.reps, sampler, threads=args.threads)
+    args.sampler = json.loads(sampler.to_json())
     base = _out_base(args)
     csv_path = base + ".csv"
     table = np.column_stack([curve.n, curve.mean_f0, curve.var_f0, curve.stderr, np.full(len(curve.n), curve.reps)])
@@ -322,10 +319,9 @@ def _cmd_clt(args) -> list[str]:
 
 
 def _cmd_gamma(args) -> list[str]:
-    grid = _parse_grid(args.n_grid)
     sampler_g = _parse_sampler(args.sampler_g, args.J, args.seed)
-    seq = gamma_experiment(grid, args.reps, sampler_g, threads=args.threads)
-    args.n_grid, args.sampler_g = list(grid), json.loads(sampler_g.to_json())
+    seq = gamma_experiment(args.n_grid, args.reps, sampler_g, threads=args.threads)
+    args.sampler_g = json.loads(sampler_g.to_json())
     csv_path = _out_base(args) + ".csv"
     _write_matrix(
         csv_path,
@@ -336,9 +332,7 @@ def _cmd_gamma(args) -> list[str]:
 
 
 def _cmd_hull_limit(args) -> list[str]:
-    grid = _parse_grid(args.n_grid)
-    trace = hull_limit_experiment(args.J, grid, args.seed)
-    args.n_grid = list(grid)
+    trace = hull_limit_experiment(args.J, args.n_grid, args.seed)
     csv_path = _out_base(args) + ".csv"
     _write_matrix(csv_path, np.asarray(trace), ("n", "hausdorff_to_simplex"))
     return [csv_path]
@@ -388,10 +382,9 @@ def _cmd_choquet(args) -> list[str]:
 
 
 def _cmd_polya(args) -> list[str]:
-    weights = ChoquetMeasure(weights=np.asarray(_parse_floats(args.true_weights)))
-    k_grid = _parse_grid(args.k_grid)
-    trace = convergence_trace(weights, k_grid, args.alpha, args.seed)
-    args.true_weights, args.k_grid = list(weights.weights), list(k_grid)
+    weights = ChoquetMeasure(weights=np.asarray(args.true_weights))
+    trace = convergence_trace(weights, args.k_grid, args.alpha, args.seed)
+    args.true_weights = list(weights.weights)
     args.depth = AtomEmbedding(weights.m).depth
     csv_path = _out_base(args) + ".csv"
     _write_matrix(csv_path, np.asarray(trace), ("k", "sup_error", "minimax_rate"))
@@ -442,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("growth", help="hull extrema growth curve and (log n)^p fit")
     p.add_argument("--J", type=int, required=True, help="simplex dimension (>= 2)")
-    p.add_argument("--n-grid", default=",".join(map(str, DEFAULT_N_GRID)), help="comma-separated sample sizes")
+    p.add_argument("--n-grid", type=_parse_grid, default=DEFAULT_N_GRID, help="comma-separated sample sizes")
     p.add_argument("--reps", type=int, default=100, help="replicates per grid point")
     p.add_argument("--sampler", default="uniform", help="'uniform', 'dirichlet:a1,...', or SamplerSpec JSON; --seed replaces its seed")
     common(p, threads=True)
@@ -457,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gamma", help="extrema-count ratios: generic sampler vs uniform")
     p.add_argument("--J", type=int, required=True)
-    p.add_argument("--n-grid", default=",".join(map(str, DEFAULT_N_GRID)))
+    p.add_argument("--n-grid", type=_parse_grid, default=DEFAULT_N_GRID)
     p.add_argument("--reps", type=int, default=100)
     p.add_argument("--sampler-g", default="uniform", help="generic-arm sampler, in the forms of growth --sampler")
     common(p, threads=True)
@@ -465,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hull-limit", help="Hausdorff distance of nested hulls to the simplex")
     p.add_argument("--J", type=int, required=True)
-    p.add_argument("--n-grid", default=",".join(map(str, DEFAULT_N_GRID)))
+    p.add_argument("--n-grid", type=_parse_grid, default=DEFAULT_N_GRID)
     common(p)
     p.set_defaults(func=_cmd_hull_limit)
 
@@ -483,8 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("polya", help="posterior weight-recovery trace for a finite atom set")
     p.add_argument("--alpha", type=float, default=1.0, help="smoothness exponent in (0, 1]")
-    p.add_argument("--true-weights", required=True, help="comma-separated true atom weights")
-    p.add_argument("--k-grid", default="100,1000,10000", help="sample sizes")
+    p.add_argument("--true-weights", type=_parse_floats, required=True, help="comma-separated true atom weights")
+    p.add_argument("--k-grid", type=_parse_grid, default=(100, 1000, 10000), help="sample sizes")
     common(p)
     p.set_defaults(func=_cmd_polya)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .choquet import ChoquetMeasure
-from .simplex import child_seed
+from .simplex import _integer, child_seed
 
 __all__ = [
     "PolyaTreeParams",
@@ -169,11 +169,9 @@ def convergence_trace(true_weights: ChoquetMeasure, k_grid, alpha: float, seed: 
     ``child_seed(seed)``; each k updates the prior with the stream prefix, so
     traces are nested in data.
     """
-    grid = [int(k) for k in k_grid]
+    grid = [_integer(k, 2, math.inf, f"every k in k_grid must be an integer >= 2, got {k!r}") for k in k_grid]
     if not grid:
         raise ValueError("k_grid must be nonempty")
-    if any(k < 2 for k in grid):
-        raise ValueError("every k in k_grid must be >= 2")
     w = true_weights.weights
     prior = prior_posterior(alpha, w.size)
     rng = np.random.default_rng(child_seed(seed))

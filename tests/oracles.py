@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+from fractions import Fraction
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
@@ -229,6 +230,46 @@ def extremal_set_by_svd(points: np.ndarray) -> np.ndarray:
     cand = np.sort(hull.vertices.astype(np.int64))
     ok = _certified(z, hull, cand)
     return np.sort(np.concatenate([cand[ok], _perpoint_keep(z, cand[~ok])]))
+
+
+def _in_hull_exact(p: list, others: list) -> bool:
+    """Whether ``p`` is a convex combination of the rows ``others``, all
+    Fractions: Phase I of the simplex method on  sum_j l_j q_j = p,
+    sum_j l_j = 1,  l >= 0, from the basis of one artificial variable per
+    equation, entering and leaving by Bland's rule.  An artificial variable
+    that leaves the basis never re-enters, so the tableau holds only the
+    weight columns and the right-hand side."""
+    m = len(others)
+    rows = [[q[c] for q in others] + [p[c]] for c in range(len(p))] + [[Fraction(1)] * (m + 1)]
+    rows = [row if row[-1] >= 0 else [-v for v in row] for row in rows]
+    basis = [m + r for r in range(len(rows))]  # m + r is the artificial variable of equation r
+    while True:
+        art = [row for row, b in zip(rows, basis) if b >= m]
+        if sum(row[-1] for row in art) == 0:  # every artificial variable is 0: p is in the hull
+            return True
+        enter = next((j for j in range(m) if sum(row[j] for row in art) > 0), None)
+        if enter is None:  # Phase I optimum above 0: no convex combination exists
+            return False
+        leave = min(
+            (r for r, row in enumerate(rows) if row[enter] > 0),
+            key=lambda r: (rows[r][-1] / rows[r][enter], basis[r]),
+        )
+        pivot = rows[leave]
+        pivot[:] = [v / pivot[enter] for v in pivot]
+        for row in rows:
+            if row is not pivot and row[enter]:
+                f = row[enter]
+                row[:] = [v - f * w if w else v for v, w in zip(row, pivot)]
+        basis[leave] = enter
+
+
+def vertices_exact(points) -> np.ndarray:
+    """Indices of the rows of ``points`` that are not convex combinations of
+    the other rows, decided in exact rational arithmetic (``_in_hull_exact``).
+    Each entry is taken at its exact value (an int, a Fraction or a float),
+    and the rows must be distinct."""
+    rows = [[Fraction(v) for v in row] for row in np.asarray(points, dtype=object).tolist()]
+    return np.array([i for i, p in enumerate(rows) if not _in_hull_exact(p, rows[:i] + rows[i + 1 :])], dtype=np.int64)
 
 
 def em_reference(x, l_comp: int, max_iters: int, seed: int, restart: int, rel_tol: float, smoothing: float):

@@ -15,7 +15,6 @@ from scipy.optimize import linear_sum_assignment
 from oracles import barycentric_by_lstsq, towers_by_dfs
 from simplexmix.admixture import em_fit, synthetic_corpus, two_stage
 from simplexmix.asymptotics import (
-    ExperimentConfig,
     clt_experiment,
     definetti_bound,
     fit_growth,
@@ -76,8 +75,7 @@ def test_criterion_02_triangle_growth():
         start = time.monotonic()
         fits = {}
         for seed in (101, 202):
-            cfg = ExperimentConfig(n_grid=GROWTH_GRID, reps=500, sampler=SamplerSpec("uniform", 3, seed))
-            curve = growth_experiment(cfg)
+            curve = growth_experiment(GROWTH_GRID, 500, SamplerSpec("uniform", 3, seed))
             assert np.all(np.diff(curve.mean_f0) > 0), "means not strictly increasing"
             fits[seed] = fit_growth(curve)
             # Renyi-Sulanke (1963): in a triangle E f0 = 2 ln n + O(1).  The

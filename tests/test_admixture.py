@@ -618,6 +618,15 @@ class TestTwoStage:
         assert report.final_m == 3
         assert report.choquet_note == "weights read off the mixing matrix (pi_i = phi_i @ F)"
 
+    def test_ends_at_one_component(self):
+        # one term in use: every fitted row is (1.0), so the count drops to 1
+        # and the refit has one component, which is identifiable and no frame
+        report = two_stage(load_docword(b"3\n2\n3\n1 1 2\n2 1 3\n3 1 1\n"), l0=2, pca_dim=2)
+        assert [(r.components, r.extrema_count) for r in report.rounds] == [(2, 1), (1, 1)]
+        assert (report.final_m, report.model.n_components) == (1, 1)
+        assert report.identifiable.tolist() == [True]
+        assert report.choquet_note == "components do not form a valid frame: frame needs at least 2 vertices"
+
     def test_choquet_note_outside_simplex_regime(self):
         x, _, _ = synthetic_corpus(3, 8, 100, 50, 0.8, seed=15)
         report = two_stage(x, l0=3, pca_dim=2, seed=15)

@@ -7,7 +7,6 @@ import scipy.stats
 from oracles import hausdorff
 from simplexmix import asymptotics
 from simplexmix.asymptotics import (
-    ExperimentConfig,
     clt_experiment,
     definetti_bound,
     fit_growth,
@@ -22,58 +21,84 @@ from simplexmix.hull import PointSet, extremal_set
 from simplexmix.simplex import SamplerSpec, _map_indexed, child_seed, sample
 
 
-def _cfg(J, n_grid, reps, seed):
-    return ExperimentConfig(n_grid=tuple(n_grid), reps=reps, sampler=SamplerSpec("uniform", J, seed))
+def _growth(J, n_grid, reps, seed, threads=1):
+    return growth_experiment(n_grid, reps, SamplerSpec("uniform", J, seed), threads=threads)
 
 
-class TestExperimentConfig:
+class TestGrowthArguments:
     def test_grid_must_increase(self):
         with pytest.raises(ValueError, match="increasing"):
-            _cfg(3, (100, 100), 5, 0)
+            _growth(3, (100, 100), 5, 0)
 
     def test_grid_minimum(self):
         with pytest.raises(ValueError, match="J\\+1"):
-            _cfg(3, (3, 10), 5, 0)
+            _growth(3, (3, 10), 5, 0)
 
     def test_reps_positive(self):
         with pytest.raises(ValueError, match="reps"):
-            _cfg(3, (10, 100), 0, 0)
+            _growth(3, (10, 100), 0, 0)
 
     def test_grid_nonempty(self):
         with pytest.raises(ValueError, match="nonempty"):
-            _cfg(3, (), 5, 0)
+            _growth(3, (), 5, 0)
+
+
+class TestGridEntries:
+    """An integral float or numpy int is taken as its int; any other entry
+    of a growth or hull-limit grid raises, rather than being truncated (10.5
+    to 10) or converted (True to 1, "10" to 10)."""
+
+    NOT_INTEGERS = (10.5, True, "10", float("nan"))
+
+    @pytest.mark.parametrize("bad", NOT_INTEGERS, ids=repr)
+    def test_growth_rejects(self, bad):
+        with pytest.raises(ValueError, match="n_grid entries must be integers"):
+            _growth(2, (bad, 100), 2, 0)
+
+    @pytest.mark.parametrize("bad", NOT_INTEGERS, ids=repr)
+    def test_hull_limit_rejects(self, bad):
+        with pytest.raises(ValueError, match="n_grid entries must be integers"):
+            hull_limit_experiment(3, (bad, 100), 0)
+
+    def test_integral_values_accepted(self):
+        grid = (10.0, np.int64(20), np.float64(40.0))
+        curve, exact = _growth(3, grid, 3, 1), _growth(3, (10, 20, 40), 3, 1)
+        assert curve.n.tolist() == [10, 20, 40]
+        np.testing.assert_array_equal(curve.mean_f0, exact.mean_f0)
+        trace = hull_limit_experiment(3, grid, 2)
+        assert trace == hull_limit_experiment(3, (10, 20, 40), 2)
+        assert [type(n) for n, _ in trace] == [int] * 3
 
 
 class TestGrowthExperiment:
     def test_segment_exactly_two(self):
-        curve = growth_experiment(_cfg(2, (3, 10, 50), 20, 4))
+        curve = _growth(2, (3, 10, 50), 20, 4)
         np.testing.assert_array_equal(curve.mean_f0, [2.0, 2.0, 2.0])
         np.testing.assert_array_equal(curve.var_f0, [0.0, 0.0, 0.0])
 
     def test_triangle_means_increase(self):
-        curve = growth_experiment(_cfg(3, (10, 100, 1000), 60, 5))
+        curve = _growth(3, (10, 100, 1000), 60, 5)
         assert np.all(np.diff(curve.mean_f0) > 0)
 
     def test_deterministic_and_thread_invariant(self):
-        cfg = _cfg(3, (10, 100), 20, 6)
-        a = growth_experiment(cfg)
-        b = growth_experiment(cfg)
-        c = growth_experiment(cfg, threads=3)
+        a = _growth(3, (10, 100), 20, 6)
+        b = _growth(3, (10, 100), 20, 6)
+        c = _growth(3, (10, 100), 20, 6, threads=3)
         np.testing.assert_array_equal(a.mean_f0, b.mean_f0)
         np.testing.assert_array_equal(a.mean_f0, c.mean_f0)
         np.testing.assert_array_equal(a.var_f0, c.var_f0)
 
     def test_largest_clouds_start_first(self, monkeypatch):
         # 8 threads outnumber the 6 clouds
-        cfg, submitted = _cfg(3, (20, 200, 2000), 2, 12), []
+        grid, submitted = (20, 200, 2000), []
 
         def recording(fn, tasks, threads):
             submitted.append(list(tasks))
             return _map_indexed(fn, tasks, threads)
 
         monkeypatch.setattr(asymptotics, "_map_indexed", recording)
-        curves = [growth_experiment(cfg, threads=t) for t in (1, 2, 8)]
-        expected = [(n, child_seed(12, g, r)) for g, n in reversed(list(enumerate(cfg.n_grid))) for r in range(2)]
+        curves = [_growth(3, grid, 2, 12, threads=t) for t in (1, 2, 8)]
+        expected = [(n, child_seed(12, g, r)) for g, n in reversed(list(enumerate(grid))) for r in range(2)]
         assert submitted == [expected] * 3
         for curve in curves[1:]:
             np.testing.assert_array_equal(curve.mean_f0, curves[0].mean_f0)
@@ -209,7 +234,7 @@ class TestSeedTree:
 
     def test_growth(self):
         spec, grid, reps = SamplerSpec("dirichlet", 4, 17, alpha=(2.0, 1.0, 1.0, 3.0)), (6, 30, 200), 4
-        curve = growth_experiment(ExperimentConfig(n_grid=grid, reps=reps, sampler=spec), threads=2)
+        curve = growth_experiment(grid, reps, spec, threads=2)
         mean, var = _moments([[_f0(spec, n, child_seed(17, g, r)) for r in range(reps)] for g, n in enumerate(grid)])
         np.testing.assert_array_equal(curve.mean_f0, mean)
         np.testing.assert_array_equal(curve.var_f0, var)

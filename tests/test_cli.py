@@ -190,6 +190,59 @@ class TestEmptyGrid:
         assert not os.path.exists(tmp_path / "m.json")
 
 
+class TestListFlags:
+    """The parser converts --n-grid, --k-grid and --true-weights, as it does
+    every numeric flag: a malformed list is one usage error that names the
+    flag and the text, before any work starts.  The vectors of
+    'dirichlet:...' and --p are read by the commands, and a malformed one is
+    a configuration error."""
+
+    @pytest.mark.parametrize("argv, flag, text", [
+        (["growth", "--J", "3", "--n-grid", "10,x"], "--n-grid", "10,x"),
+        (["hull-limit", "--J", "3", "--n-grid", "10.5,100"], "--n-grid", "10.5,100"),
+        (["polya", "--true-weights", "0.5,0.5", "--k-grid", "100,1e3"], "--k-grid", "100,1e3"),
+        (["polya", "--true-weights", "0.5,y"], "--true-weights", "0.5,y"),
+    ], ids=["n-grid", "fractional-n", "k-grid", "true-weights"])
+    def test_malformed_list_is_a_usage_error(self, tmp_path, capsys, argv, flag, text):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "o"), "--manifest", str(tmp_path / "m.json")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: simplexmix " + argv[0])
+        (line,) = [line for line in err.splitlines() if "error:" in line]
+        assert line.startswith(f"simplexmix {argv[0]}: error: argument {flag}: invalid ")
+        assert line.endswith(f" value: {text!r}")
+        assert not os.listdir(tmp_path)
+
+    def test_no_traceback_under_warnings_as_errors(self, tmp_path):
+        src = str(Path(hull.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "simplexmix", "growth", "--J", "3", "--n-grid", "10,x",
+             "--manifest", str(tmp_path / "m.json")],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 2
+        assert "argument --n-grid" in done.stderr and "'10,x'" in done.stderr
+        assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("argv, text", [
+        (["growth", "--J", "3", "--sampler", "dirichlet:1,x,1"], "1,x,1"),
+        (["choquet", "--frame", "FRAME", "--p", "0.2,x,0.5"], "0.2,x,0.5"),
+    ], ids=["dirichlet", "p"])
+    def test_malformed_vector_is_a_configuration_error(self, tmp_path, capsys, argv, text):
+        frame = tmp_path / "frame.csv"
+        np.savetxt(frame, np.eye(3), delimiter=",")
+        argv = [str(frame) if a == "FRAME" else a for a in argv]
+        assert main(argv + ["--manifest", str(tmp_path / "m.json")]) == 2
+        assert capsys.readouterr().err == f"error: bad vector {text!r}; expected comma-separated numbers\n"
+
+    def test_unknown_sampler_exits_2(self, tmp_path, capsys):
+        code = main(["growth", "--J", "3", "--sampler", "beta", "--manifest", str(tmp_path / "m.json")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: unknown sampler 'beta'; use 'uniform', 'dirichlet:...', or JSON\n"
+
+
 class TestCltCommand:
     def test_writes_report(self, tmp_path):
         out = tmp_path / "c"

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 
@@ -17,6 +18,7 @@ from oracles import (
     monotone_chain_hull_vertices,
     orientation_hull_vertices,
     towers_by_dfs,
+    vertices_exact,
 )
 from simplexmix import hull
 from simplexmix.hull import (
@@ -738,6 +740,39 @@ class TestSimplexChart:
             np.testing.assert_array_equal(extremal_set(ps).indices, extremal_set(ps, method="perpoint").indices)
             ps = PointSet(sample(self.spec(kind, J, 950 + seed), 1000))
             np.testing.assert_array_equal(extremal_set(ps).indices, extremal_set_by_svd(ps.points))
+
+
+class TestExactOracle:
+    """extremal_set against ``vertices_exact``, which decides each point in
+    exact rational arithmetic.  On clouds of small integers, or of their
+    multiples of 1/k, a non-vertex lies exactly in the hull of the others
+    and a vertex lies far more than EXTREME_TOL from it, so the exact vertex
+    set is the tolerance rule's answer.  (The k = 3 lattices in d = 4 and 5,
+    of 35 and 56 points, take the oracle about 0.3 and 1 s, and are left
+    out.)
+
+    The integer clouds take qhull's shortlist on rank-reduced coordinates,
+    the lattices the chart of the plane sum(x) = 1.  A lattice on a face of
+    the simplex (one coordinate 0 throughout) is flat in that chart: qhull
+    raises without pre-merging and in the merged retry, and the cloud takes
+    the rank-reduced route."""
+
+    @pytest.mark.parametrize("d, k", [(d, k) for d in (3, 4, 5) for k in (2, 3)])
+    def test_integer_cloud(self, d, k):
+        rng = np.random.default_rng(100 * d + k)
+        ps = PointSet(rng.integers(0, k + 1, (24, d)).astype(np.float64))
+        np.testing.assert_array_equal(extremal_set(ps).indices, vertices_exact(ps.points))
+
+    @pytest.mark.parametrize("face", [False, True], ids=["plane", "face"])
+    @pytest.mark.parametrize("d, k", [(3, 2), (3, 3), (4, 2), (5, 2)])
+    def test_simplex_lattice(self, d, k, face):
+        # compositions of k into d + 1 parts: rows on the plane sum(x) = 1
+        parts = np.array([c for c in itertools.product(range(k + 1), repeat=d + 1) if sum(c) == k])
+        if face:
+            parts = np.column_stack([parts, np.zeros(len(parts), dtype=parts.dtype)])
+        ps = PointSet(parts / k)
+        assert ps.n == len(parts) and _chart(ps.points) is not None
+        np.testing.assert_array_equal(extremal_set(ps).indices, vertices_exact(parts))
 
 
 class TestHausdorff:

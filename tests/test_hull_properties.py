@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import vertices_exact
 from simplexmix.hull import EXTREME_TOL, PointSet, extremal_set
 
 
@@ -45,3 +46,20 @@ def test_f0_unchanged_by_inserting_a_near_copy(cloud, data):
     twin = cloud[source] + radius * step / np.linalg.norm(step)
     grown = np.insert(cloud, position, twin, axis=0)
     assert extremal_set(PointSet(grown)).f0 == extremal_set(PointSet(cloud)).f0
+
+
+@st.composite
+def integer_clouds(draw):
+    """d + 2 to 16 points of {0..3}^d, d = 3..5, repeats allowed."""
+    d = draw(st.integers(3, 5))
+    rows = draw(st.lists(st.lists(st.integers(0, 3), min_size=d, max_size=d), min_size=d + 2, max_size=16))
+    return np.array(rows, dtype=np.float64)
+
+
+@settings(max_examples=25, deadline=None)
+@given(integer_clouds())
+def test_extreme_points_match_exact_arithmetic(cloud):
+    # on such clouds a vertex lies far more than EXTREME_TOL from the hull of
+    # the others, so the tolerance rule's answer is the exact one
+    ps = PointSet(cloud)
+    np.testing.assert_array_equal(extremal_set(ps).indices, vertices_exact(ps.points))

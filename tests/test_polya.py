@@ -205,3 +205,15 @@ class TestConvergenceTrace:
         with pytest.raises(ValueError, match="k_grid must be nonempty"):
             convergence_trace(ChoquetMeasure(weights=np.array([0.5, 0.5])), (), 1.0, 0)
 
+    @pytest.mark.parametrize("bad", (100.5, True, "100", float("nan"), 1), ids=repr)
+    def test_grid_entries_are_integers_of_at_least_2(self, bad):
+        # a fraction is rejected, not truncated
+        with pytest.raises(ValueError, match="every k in k_grid must be an integer >= 2"):
+            convergence_trace(ChoquetMeasure(weights=np.array([0.5, 0.5])), (bad, 1000), 1.0, 0)
+
+    def test_integral_grid_values_accepted(self):
+        truth = ChoquetMeasure(weights=np.array([0.6, 0.4]))
+        trace = convergence_trace(truth, (100.0, np.int64(1000)), 1.0, 0)
+        assert trace == convergence_trace(truth, (100, 1000), 1.0, 0)
+        assert [type(k) for k, _, _ in trace] == [int, int]
+

@@ -97,7 +97,9 @@ def routes(hull, cloud: np.ndarray) -> tuple[str, str]:
     spies = {  # a base that lacks one of these functions shows no event for it
         "_chart": lambda args, out: "chart" if out is not None else "",
         "_affine_coordinates": lambda args, out: "svd",
-        "_perpoint_keep": lambda args, out: "perpoint" if len(args) == 1 or args[1] is None else "",
+        # every row, with rows=None at an older base, and no qhull run that succeeded
+        "_perpoint_keep": lambda args, out: "perpoint" if len(args) == 1 or args[1] is None or (
+            len(args[1]) == len(args[0]) and not {"Q0", "merged"} & set(events)) else "",
     }
     spies = {name: spy(name, event) for name, event in spies.items() if hasattr(hull, name)}
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .choquet import make_frame
-from .hull import PointSet, _centered_svd, _perpoint_keep, extremal_set, pca_project
+from .hull import PointSet, _centered_svd, extremal_set, is_extreme, pca_project
 from .hull import point_to_hull_distance  # noqa: F401  (a call site that perfbench/tracing.py wraps)
 from .simplex import _integer, _map_indexed, _row_sums, child_seed
 
@@ -398,13 +398,13 @@ def em_fit(
 
 def identifiability_check(f: np.ndarray) -> np.ndarray:
     """Per-component flag: True if the row is farther than ``EXTREME_TOL``
-    from the hull of the other rows, in full coordinates (``_perpoint_keep``)."""
+    from the hull of the other rows (``is_extreme`` on the rows as given)."""
     f = np.asarray(f, dtype=np.float64)
     if f.ndim != 2 or f.shape[0] < 2:
         raise ValueError("need a matrix of at least two component rows")
     if not np.isfinite(f).all():
         raise ValueError("non-finite values in component rows")
-    return np.isin(np.arange(f.shape[0]), _perpoint_keep(f))
+    return np.array([is_extreme(i, f) for i in range(f.shape[0])])
 
 
 @dataclass(frozen=True)

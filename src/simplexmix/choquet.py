@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hull import _affine_coordinates, _hull_distance, _perpoint_keep
+from .hull import _hull_distance, is_extreme
 from .simplex import validate
 
 __all__ = [
@@ -83,8 +83,8 @@ def make_frame(vertices) -> SimplexFrame:
     smin = np.linalg.svd(diffs, compute_uv=False)[-1]
     if smin <= _AFFINE_RANK_TOL:
         raise ValueError(f"vertices are affinely dependent (smallest singular value {smin:.3g} <= {_AFFINE_RANK_TOL:g})")
-    inner = np.setdiff1d(np.arange(m), _perpoint_keep(_affine_coordinates(v)[0]))
-    if inner.size:
+    inner = [i for i in range(m) if not is_extreme(i, v)]
+    if inner:
         raise ValueError(f"vertex {inner[0]} lies inside the hull of the others")
     cond = float(np.linalg.cond(np.vstack([v.T, np.ones(m)])))  # vertex columns over a row of ones
     if not np.isfinite(cond) or cond > COND_LIMIT:

@@ -248,11 +248,12 @@ def _parse_list(text: str, kind, what: str, expected: str) -> tuple:
         raise ValueError(f"bad {what} {text!r}; expected comma-separated {expected}") from None
 
 
-def _parse_grid(text: str) -> tuple[int, ...]:
+# argparse's usage error names the type= function: "invalid integer_list value: '10,x'".
+def integer_list(text: str) -> tuple[int, ...]:
     return _parse_list(text, int, "grid", "integers")
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
+def number_list(text: str) -> tuple[float, ...]:
     return _parse_list(text, float, "vector", "numbers")
 
 
@@ -268,7 +269,7 @@ def _parse_sampler(text: str, j_dim: int, seed: int) -> SamplerSpec:
     if text == "uniform":
         return SamplerSpec("uniform", j_dim, seed)
     if text.startswith("dirichlet:"):
-        alpha = _parse_floats(text.removeprefix("dirichlet:"))
+        alpha = number_list(text.removeprefix("dirichlet:"))
         return SamplerSpec("dirichlet", j_dim, seed, alpha=alpha)
     raise ValueError(f"unknown sampler {text!r}; use 'uniform', 'dirichlet:...', or JSON")
 
@@ -358,7 +359,7 @@ def _read_csv(path: str, flag: str) -> np.ndarray:
 def _read_vector(text: str) -> np.ndarray:
     if os.path.exists(text):
         return np.atleast_1d(_read_csv(text, "--p")).ravel()
-    return np.asarray(_parse_floats(text))
+    return np.asarray(number_list(text))
 
 
 def _cmd_choquet(args) -> list[str]:
@@ -435,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("growth", help="hull extrema growth curve and (log n)^p fit")
     p.add_argument("--J", type=int, required=True, help="simplex dimension (>= 2)")
-    p.add_argument("--n-grid", type=_parse_grid, default=DEFAULT_N_GRID, help="comma-separated sample sizes")
+    p.add_argument("--n-grid", type=integer_list, default=DEFAULT_N_GRID, help="comma-separated sample sizes")
     p.add_argument("--reps", type=int, default=100, help="replicates per grid point")
     p.add_argument("--sampler", default="uniform", help="'uniform', 'dirichlet:a1,...', or SamplerSpec JSON; --seed replaces its seed")
     common(p, threads=True)
@@ -450,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gamma", help="extrema-count ratios: generic sampler vs uniform")
     p.add_argument("--J", type=int, required=True)
-    p.add_argument("--n-grid", type=_parse_grid, default=DEFAULT_N_GRID)
+    p.add_argument("--n-grid", type=integer_list, default=DEFAULT_N_GRID)
     p.add_argument("--reps", type=int, default=100)
     p.add_argument("--sampler-g", default="uniform", help="generic-arm sampler, in the forms of growth --sampler")
     common(p, threads=True)
@@ -458,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hull-limit", help="Hausdorff distance of nested hulls to the simplex")
     p.add_argument("--J", type=int, required=True)
-    p.add_argument("--n-grid", type=_parse_grid, default=DEFAULT_N_GRID)
+    p.add_argument("--n-grid", type=integer_list, default=DEFAULT_N_GRID)
     common(p)
     p.set_defaults(func=_cmd_hull_limit)
 
@@ -476,8 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("polya", help="posterior weight-recovery trace for a finite atom set")
     p.add_argument("--alpha", type=float, default=1.0, help="smoothness exponent in (0, 1]")
-    p.add_argument("--true-weights", type=_parse_floats, required=True, help="comma-separated true atom weights")
-    p.add_argument("--k-grid", type=_parse_grid, default=(100, 1000, 10000), help="sample sizes")
+    p.add_argument("--true-weights", type=number_list, required=True, help="comma-separated true atom weights")
+    p.add_argument("--k-grid", type=integer_list, default=(100, 1000, 10000), help="sample sizes")
     common(p)
     p.set_defaults(func=_cmd_polya)
 

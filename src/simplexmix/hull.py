@@ -14,12 +14,12 @@ shortlists candidates; each candidate then gets a separating direction (the
 normalized sum of its incident facet normals) whose margin over all other
 points is a lower bound on its distance to their hull.  A margin above the
 tolerance proves the candidate extreme in one vectorized pass; only the
-candidates it cannot settle run the distance test, against all other points.
-The pure per-point distance route remains available and is used as a
-fallback, so every route applies the same rule.  qhull runs without
-pre-merging, and once more with it when that raises a precision error
-(``_shortlist``); either run only proposes candidates, which the certificate
-and the distance test decide.
+candidates it cannot settle run the distance test, against all other points
+(``_perpoint_keep``).  That test is the one confirmation step of each route:
+the per-point route makes every point a candidate and certifies none, and
+``is_extreme`` runs it on one point.  qhull runs without pre-merging, and
+once more with it when that raises a precision error (``_shortlist``);
+either run only proposes candidates.
 
 Clouds on the simplex hyperplane sum(x) = 1 need no factorization to find
 those coordinates: the plane is known before any point is drawn.  For rows x
@@ -340,10 +340,9 @@ def _chart(pts: np.ndarray) -> tuple[np.ndarray, float] | None:
     return pts[:, :-1] @ _CHART[: d - 1, : d - 1], 2.0 * off
 
 
-def _perpoint_keep(z: np.ndarray, rows=None) -> np.ndarray:
-    """Rows of ``z`` (all, or those listed in ``rows``) farther than
-    ``EXTREME_TOL`` from the hull of the other rows, by the NNLS distance."""
-    rows = range(z.shape[0]) if rows is None else rows
+def _perpoint_keep(z: np.ndarray, rows) -> np.ndarray:
+    """The listed rows of ``z`` farther than ``EXTREME_TOL`` from the hull of
+    its other rows by the NNLS distance: the one confirmation step."""
     keep = [int(i) for i in rows if _hull_distance(z[i], np.delete(z, i, axis=0))[0] > EXTREME_TOL]
     return np.asarray(keep, dtype=np.int64)
 
@@ -435,10 +434,10 @@ def _qhull(z: np.ndarray, options: str | None) -> _Hull:
     return _Hull(np.unique(simplices).astype(np.int64), simplices, equations)
 
 
-def _shortlist(z: np.ndarray, err: float) -> ExtremalSet | None:
-    """qhull's vertices of ``z``, certified or confirmed by the distance
-    test, or None when qhull fails.  ``err`` bounds how far the distances in
-    ``z`` are from those between the rows it stands for (``_certified``).
+def _shortlist(z: np.ndarray, err: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """qhull's vertices of ``z`` and the mask over them that ``_certified``
+    proves extreme, or None when qhull fails.  ``err`` bounds how far the
+    distances in ``z`` are from those between the rows it stands for.
 
     qhull first runs without pre-merging (option ``Q0``): on clouds in
     general position pre-merging only costs time.  Without it qhull stops
@@ -456,9 +455,7 @@ def _shortlist(z: np.ndarray, err: float) -> ExtremalSet | None:
             pass
     else:
         return None
-    cand = hull.vertices
-    ok = _certified(z, hull, cand, err)
-    return ExtremalSet(np.concatenate([cand[ok], _perpoint_keep(z, cand[~ok])]))
+    return hull.vertices, _certified(z, hull, hull.vertices, err)
 
 
 def extremal_set(ps, method: str = "auto") -> ExtremalSet:
@@ -468,23 +465,24 @@ def extremal_set(ps, method: str = "auto") -> ExtremalSet:
     row count once, where ``is_extreme`` on the raw rows finds none of them
     extreme; the indices are those of the merged points.
 
-    method="auto" shortlists hull vertices with qhull on isometric
-    coordinates; the other points lie inside the hull up to qhull's rounding.
-    It certifies each candidate whose separating-direction margin over all
-    other points exceeds the tolerance (see ``_certified``), and runs the
-    NNLS distance test against all other points on the rest.  When every row
-    sums to 1 within 4 * J * eps, 3 <= J <= 9 and n > J, the coordinates are
-    the fixed chart of the simplex hyperplane (``_chart``), and the
-    certificate's slack grows by twice the rows' largest distance from the
-    plane.  Otherwise, or when qhull rejects the chart (a cloud on a face or
-    an edge of the simplex), they are the rank-reduced coordinates of a
-    centred SVD.  "perpoint" runs the distance test on every point (any
-    dimension, slower); "auto" also takes that route for affinely
-    independent points, above rank 8, and when qhull fails on coordinates of
-    full rank, the chart's included.  On collinear points the two ends are
-    extreme: ``PointSet`` keeps no two points within the tolerance, and a
-    lone point is extreme, as no other point is within it.  Points that
-    ``PointSet`` keeps apart but whose spread is below the rank's rounding
+    Every route but rank 1 ends in one confirmation step: of its candidates,
+    those not certified run the NNLS distance test against all other points.
+    method="auto" takes qhull's vertices on isometric coordinates (the other
+    points lie inside the hull up to qhull's rounding) and certifies each
+    whose separating-direction margin over all other points exceeds the
+    tolerance (``_certified``).  When every row sums to 1 within 4 * J * eps,
+    3 <= J <= 9 and n > J, the coordinates are the fixed chart of the simplex
+    hyperplane (``_chart``), and the certificate's slack grows by twice the
+    rows' largest distance from the plane.  Otherwise, or when qhull rejects
+    the chart (a cloud on a face or an edge of the simplex), they are the
+    rank-reduced coordinates of a centred SVD.  On the per-point route every
+    point is a candidate and none is certified: "perpoint" takes it (any
+    dimension, slower), and "auto" does for affinely independent points,
+    above rank 8, and when qhull fails on coordinates of full rank, the
+    chart's included.  On collinear points the two ends are extreme:
+    ``PointSet`` keeps no two points within the tolerance, and a lone point
+    is extreme, as no other point is within it.  Points that ``PointSet``
+    keeps apart but whose spread is below the rank's rounding
     (``_centered_svd``: ~4e-6 at coordinates near 1e10) raise.  qhull
     rejects or fails on coordinates when both its run without pre-merging
     and its merged retry raise (``_shortlist``).
@@ -497,23 +495,22 @@ def extremal_set(ps, method: str = "auto") -> ExtremalSet:
     n, d = pts.shape
     if n == 1:
         return ExtremalSet(np.zeros(1, dtype=np.int64))
-    failed = 0  # the rank at which qhull already failed, if any
     chart = _chart(pts) if method == "auto" and n > d else None
-    if chart is not None:
-        es = _shortlist(*chart)
-        if es is not None:
-            return es
-        failed = d - 1
-    z, r = _affine_coordinates(pts)
-    if r == 0:
-        raise ValueError("degenerate input: all points identical up to rounding")
-    if r == 1:
-        coord = z[:, 0]
-        return ExtremalSet(np.unique([int(np.argmin(coord)), int(np.argmax(coord))]))
-    if method == "perpoint" or n <= r + 1 or r > _QHULL_MAX_DIM or r == failed:
-        return ExtremalSet(_perpoint_keep(z))
-    es = _shortlist(z, 0.0)
-    return ExtremalSet(_perpoint_keep(z)) if es is None else es
+    found = None if chart is None else _shortlist(*chart)
+    if found is not None:
+        z = chart[0]
+    else:
+        z, r = _affine_coordinates(pts)
+        if r == 0:
+            raise ValueError("degenerate input: all points identical up to rounding")
+        if r == 1:
+            coord = z[:, 0]
+            return ExtremalSet(np.unique([int(np.argmin(coord)), int(np.argmax(coord))]))
+        # qhull does not run again at the rank where it failed on the chart
+        if method == "auto" and n > r + 1 and r <= _QHULL_MAX_DIM and (chart is None or r != d - 1):
+            found = _shortlist(z, 0.0)
+    cand, ok = (np.arange(n), np.zeros(n, dtype=bool)) if found is None else found
+    return ExtremalSet(np.concatenate([cand[ok], _perpoint_keep(z, cand[~ok])]))
 
 
 def count_towers(J: int) -> int:
@@ -560,6 +557,8 @@ def pca_project(data, d: int) -> PCAResult:
     x = np.asarray(data, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"data must be 2-D, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("data contain non-finite values")
     n, m = x.shape
     if d < 2:
         raise ValueError(f"target dimension must be >= 2, got {d}")

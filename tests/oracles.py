@@ -222,11 +222,11 @@ def extremal_set_by_svd(points: np.ndarray) -> np.ndarray:
     if r == 1:
         return np.unique([np.argmin(z[:, 0]), np.argmax(z[:, 0])])
     if n <= r + 1 or r > 8:
-        return _perpoint_keep(z)
+        return _perpoint_keep(z, range(n))
     try:
         hull = ConvexHull(z)
     except QhullError:
-        return _perpoint_keep(z)
+        return _perpoint_keep(z, range(n))
     cand = np.sort(hull.vertices.astype(np.int64))
     ok = _certified(z, hull, cand)
     return np.sort(np.concatenate([cand[ok], _perpoint_keep(z, cand[~ok])]))

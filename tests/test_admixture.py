@@ -20,7 +20,7 @@ from simplexmix.admixture import (
     synthetic_corpus,
     two_stage,
 )
-from simplexmix.hull import PointSet, extremal_set
+from simplexmix.hull import PointSet, _perpoint_keep, extremal_set
 
 
 def tiny_matrix():
@@ -519,6 +519,16 @@ class TestIdentifiabilityCheck:
             flags = identifiability_check(f)
             extreme = set(extremal_set(PointSet(f)).indices.tolist())
             assert {i for i, fl in enumerate(flags) if fl} == extreme
+
+    @pytest.mark.parametrize("m_star, j_terms, l_comp", [(3, 4, 6), (3, 5, 10), (4, 6, 12), (3, 12, 16)])
+    def test_affine_coordinates_match_raw_rows(self, m_star, j_terms, l_comp):
+        # is_extreme runs the distance test in affine coordinates; on fitted
+        # rows its verdicts are those of the same test on the raw rows.  With
+        # fewer terms than components, some rows lie inside the hull.
+        x, _, _ = synthetic_corpus(m_star, j_terms, 300, 60, 0.98, seed=m_star)
+        f = em_fit(x, l_comp, max_iters=200, restarts=1, seed=l_comp).f
+        raw = np.isin(np.arange(l_comp), _perpoint_keep(f, range(l_comp)))
+        np.testing.assert_array_equal(identifiability_check(f), raw)
 
     def test_needs_two_rows(self):
         with pytest.raises(ValueError):

@@ -212,6 +212,7 @@ class TestListFlags:
         (line,) = [line for line in err.splitlines() if "error:" in line]
         assert line.startswith(f"simplexmix {argv[0]}: error: argument {flag}: invalid ")
         assert line.endswith(f" value: {text!r}")
+        assert "_parse" not in line  # the converter's name says what it expects
         assert not os.listdir(tmp_path)
 
     def test_no_traceback_under_warnings_as_errors(self, tmp_path):

@@ -493,6 +493,60 @@ class TestExtremalSet:
         assert not is_extreme(2, ps)
 
 
+def _failing_qhull(z, options):
+    raise scipy.spatial.QhullError("forced failure")
+
+
+class TestConfirmationStep:
+    """Every route of ``extremal_set`` that has candidates ends in one
+    ``_perpoint_keep`` call on those no certificate settled: qhull's
+    uncertified vertices, or every row on the per-point route.  Rank 1 keeps
+    the two ends with no call."""
+
+    @pytest.mark.parametrize("cloud, method, qhull, rows", [
+        (lambda: sample(SamplerSpec("uniform", 4, 6), 500), "auto", None, "uncertified"),
+        (lambda: 2.0 * sample(SamplerSpec("uniform", 4, 7), 500), "auto", None, "uncertified"),
+        (lambda: sample(SamplerSpec("dirichlet", 5, 700, alpha=(0.05, 1, 1, 1, 1)), 300), "auto", None, "uncertified"),
+        (lambda: np.c_[sample(SamplerSpec("uniform", 3, 80), 200), np.zeros(200)], "auto", None, "uncertified"),
+        (lambda: sample(SamplerSpec("uniform", 3, 41), 60), "perpoint", None, "all"),
+        (lambda: sample(SamplerSpec("uniform", 10, 17), 30), "auto", None, "all"),
+        (lambda: sample(SamplerSpec("uniform", 4, 5), 4), "auto", None, "all"),
+        (lambda: sample(SamplerSpec("uniform", 3, 41), 60), "auto", _failing_qhull, "all"),
+        (lambda: sample(SamplerSpec("uniform", 2, 8), 40), "auto", None, "none"),
+    ], ids=["chart", "svd", "merged retry", "face", "perpoint", "rank 9", "n = r + 1", "qhull fails", "rank 1"])
+    def test_one_call_per_route(self, monkeypatch, cloud, method, qhull, rows):
+        ps = PointSet(cloud())
+        expected = extremal_set(ps, method="perpoint").indices
+        shortlists, calls = [], []
+        shortlist, perpoint_keep = hull._shortlist, hull._perpoint_keep
+
+        def spy_shortlist(z, err):
+            shortlists.append(shortlist(z, err))
+            return shortlists[-1]
+
+        def spy_keep(z, listed):
+            calls.append(np.asarray(listed))
+            return perpoint_keep(z, listed)
+
+        monkeypatch.setattr(hull, "_shortlist", spy_shortlist)
+        monkeypatch.setattr(hull, "_perpoint_keep", spy_keep)
+        if qhull is not None:
+            monkeypatch.setattr(hull, "_qhull", qhull)
+        np.testing.assert_array_equal(extremal_set(ps, method).indices, expected)
+        found = [out for out in shortlists if out is not None]
+        if rows == "none":
+            assert calls == [] and shortlists == []
+            return
+        assert len(calls) == 1
+        if rows == "all":
+            assert found == []
+            np.testing.assert_array_equal(calls[0], np.arange(ps.n))
+        else:
+            ((cand, ok),) = found
+            assert ok.any() and calls[0].size < ps.n
+            np.testing.assert_array_equal(calls[0], cand[~ok])
+
+
 class TestQhull:
     """``_qhull`` calls scipy's private ``_Qhull``; if a scipy release renames
     it or changes ``ConvexHull``'s defaults, these tests fail first."""
@@ -864,6 +918,14 @@ class TestPCAProject:
             assert _affine_coordinates(plane)[1] == 3
             with pytest.raises(ValueError, match="attainable d = 3"):
                 pca_project(plane, 4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        # a ValueError, not the SVD's LinAlgError
+        data = np.random.default_rng(3).random((5, 4))
+        data[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            pca_project(data, 2)
 
     def test_dimension_bounds(self):
         data = np.random.default_rng(3).random((5, 4))
